@@ -94,23 +94,45 @@ def moment_matrix(E1, E2, n, shift=None, chunk=512):
     E1, E2 are integer exponent arrays of shapes (m1, n) and (m2, n); the
     optional shift is a single exponent tuple.  Assembled in row chunks to
     bound memory at large sizes.
+
+    Entry (i, j) with P = E1[i] + E2[j] + shift is zero if any P_k is odd,
+    else exp(c0 + sum_k lgamma((P_k + 1)/2) - lgamma((|P| + n)/2)).  The
+    sum over k is accumulated coordinate by coordinate, k = 1 first, into one
+    (rows x cols) array, so no (rows x cols x n) tensor is formed.  That is
+    the order in which numpy's add-reduce sums a contiguous axis shorter
+    than 8, so for n <= 7 every entry is bit-identical to the reduction
+    c0 + lgamma_half[P].sum(axis=-1) - lgamma_sum[|P|]; for n >= 8 numpy
+    sums in 8-way blocks and the two may differ in the last bit.
     """
     E1 = np.asarray(E1, dtype=np.int64)
     E2 = np.asarray(E2, dtype=np.int64)
     g = np.zeros(n, dtype=np.int64) if shift is None else np.asarray(shift, dtype=np.int64)
-    maxdeg = int(E1.sum(axis=1).max(initial=0) + E2.sum(axis=1).max(initial=0) + g.sum())
+    C = E2 + g
+    d1 = E1.sum(axis=1)
+    d2 = C.sum(axis=1)
+    maxdeg = int(d1.max(initial=0) + d2.max(initial=0))
     lg_half, lg_sum, c0 = _lgamma_tables(n, maxdeg)
+    # P has an odd coordinate iff the parity vectors of its two summands
+    # differ; each vector is packed into one 64-bit code per 64 coordinates
+    k = np.arange(n)
+    weight = np.zeros((n, (n + 63) // 64), dtype=np.int64)
+    weight[k, k // 64] = np.left_shift(1, k % 64)
+    par1 = (E1 & 1) @ weight
+    par2 = (C & 1) @ weight
     m1, m2 = len(E1), len(E2)
     out = np.empty((m1, m2))
-    base = E2[None, :, :] + g[None, None, :]
     for lo in range(0, m1, chunk):
         hi = min(lo + chunk, m1)
-        P = E1[lo:hi, None, :] + base
-        odd = (P & 1).any(axis=2)
-        S = P.sum(axis=2)
-        block = np.exp(c0 + lg_half[P].sum(axis=2) - lg_sum[S])
+        acc = lg_half[np.add.outer(E1[lo:hi, 0], C[:, 0])]
+        for i in range(1, n):
+            acc += lg_half[np.add.outer(E1[lo:hi, i], C[:, i])]
+        acc += c0
+        acc -= lg_sum[np.add.outer(d1[lo:hi], d2)]
+        block = np.exp(acc, out=out[lo:hi])
+        odd = np.not_equal.outer(par1[lo:hi, 0], par2[:, 0])
+        for w in range(1, weight.shape[1]):
+            odd |= np.not_equal.outer(par1[lo:hi, w], par2[:, w])
         block[odd] = 0.0
-        out[lo:hi] = block
     return out
 
 

@@ -113,17 +113,21 @@ def _parity_components(elements, shifts):
     return comps
 
 
+def _localized_block(terms, E, n):
+    """Float localized block sum_g c_g M_g over exponent rows E."""
+    A = np.zeros((len(E), len(E)))
+    for gamma, c in terms.items():
+        A += c * moment_matrix(E, E, n, shift=gamma)
+    return A
+
+
 def _assemble_block(terms, E, n):
     """Float pencil block: (sum_g c_g M_g, M_0) over exponent rows E."""
     B = moment_matrix(E, E, n)
-    A = np.zeros_like(B)
-    for gamma, c in terms.items():
-        A += c * moment_matrix(E, E, n, shift=gamma)
-    return A, B
+    return _localized_block(terms, E, n), B
 
 
-def _assemble_block_fraction(terms, elements, n):
-    B = gram_matrix_fraction(elements, n)
+def _localized_block_fraction(terms, elements, n):
     m = len(elements)
     A = [[Fraction(0)] * m for _ in range(m)]
     for gamma, c in terms.items():
@@ -132,7 +136,12 @@ def _assemble_block_fraction(terms, elements, n):
         for i in range(m):
             for j in range(m):
                 A[i][j] += cf * M[i][j]
-    return A, B
+    return A
+
+
+def _assemble_block_fraction(terms, elements, n):
+    B = gram_matrix_fraction(elements, n)
+    return _localized_block_fraction(terms, elements, n), B
 
 
 def _solve_block(A, B, r):
@@ -254,6 +263,11 @@ def _solve_pencil(terms, basis, r, dps):
     return value, coeffs, gap, cond
 
 
+def _check_dps(dps):
+    if dps is not None and dps <= 0:
+        raise ValueError(f"dps must be a positive number of digits, got {dps}")
+
+
 def upper_bound(f, n, r, dps=None):
     """Level-r upper bound for min f on S^{n-1}, with its optimal density.
 
@@ -271,6 +285,7 @@ def upper_bound(f, n, r, dps=None):
         raise ValueError("level must be nonnegative")
     if f.n != n:
         raise ValueError(f"polynomial dimension {f.n}, expected {n}")
+    _check_dps(dps)
     basis = sphere_basis(n, r)
     if f.is_constant():
         # pencil is c*B = lambda*B: every vector is optimal, pick the first
@@ -305,6 +320,7 @@ def rational_upper_bound(p, q, n, r, dps=None):
         raise ValueError("level must be nonnegative")
     if p.n != n or q.n != n:
         raise ValueError("polynomial dimensions must match n")
+    _check_dps(dps)
     if not q:
         raise CertificationError("denominator is the zero polynomial")
     samples = q.eval_many(sphere_points(4096, n, seed=11))
@@ -322,8 +338,8 @@ def rational_upper_bound(p, q, n, r, dps=None):
     for comp in comps:
         Ec = E[comp]
         if dps is None:
-            Ap, _ = _assemble_block(p.terms, Ec, n)
-            Aq, _ = _assemble_block(q.terms, Ec, n)
+            Ap = _localized_block(p.terms, Ec, n)
+            Aq = _localized_block(q.terms, Ec, n)
             qw = np.linalg.eigvalsh(Aq)
             if qw[0] <= 0.0:
                 raise CertificationError(
@@ -339,15 +355,14 @@ def rational_upper_bound(p, q, n, r, dps=None):
             vec = V[:, 0].copy()
         else:
             elems_c = [elements[i] for i in comp]
-            Apf, _ = _assemble_block_fraction(p.terms, elems_c, n)
-            Aqf, _ = _assemble_block_fraction(q.terms, elems_c, n)
+            Apf = _localized_block_fraction(p.terms, elems_c, n)
+            Aqf = _localized_block_fraction(q.terms, elems_c, n)
             try:
                 w0, w1, vec = _solve_block_hp(Apf, Aqf, dps)
             except ConditioningError as exc:
                 raise CertificationError(
                     f"q not certified positive at level r={r}: {exc}") from exc
-            Aq, _ = _assemble_block(q.terms, Ec, n)
-            qw = np.linalg.eigvalsh(Aq)
+            qw = np.linalg.eigvalsh(_localized_block(q.terms, Ec, n))
         qmin = min(qmin, float(qw[0]))
         qmax = max(qmax, float(qw[-1]))
         results.append((w0, w1, vec, comp))

@@ -61,6 +61,8 @@ class Polynomial:
             c = float(c)
             if c != 0.0:
                 clean[alpha] = clean.get(alpha, 0.0) + c
+                if not math.isfinite(clean[alpha]):
+                    raise ValueError(f"coefficient of {alpha} is not finite: {clean[alpha]!r}")
                 if clean[alpha] == 0.0:
                     del clean[alpha]
         object.__setattr__(self, "terms", clean)
@@ -284,7 +286,8 @@ def parse_poly(text, n):
 
     Grammar: terms joined by + or -, each term a *-separated product of
     factors; a factor is a decimal literal or xI^E with integer E >= 0
-    (^E optional).  Whitespace is insignificant.
+    (^E optional).  Whitespace is insignificant.  A term whose coefficient
+    overflows to infinity is rejected at the literal that overflows it.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -307,6 +310,8 @@ def parse_poly(text, n):
             kind, value, pos = tokens[i]
             if kind == "num":
                 coeff *= float(value)
+                if not math.isfinite(coeff):
+                    raise ParseError(f"coefficient is not finite after literal {value!r}", pos)
                 i += 1
             elif kind == "var":
                 idx = int(value[1:])

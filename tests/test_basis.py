@@ -12,7 +12,8 @@ from spherebound import (MomentOracle, Polynomial, build_pencil, dump_matrix,
                          gram_matrix, localized_matrix, motzkin_form,
                          parse_poly, reduce_mod_sphere, sphere_basis,
                          sphere_points)
-from spherebound.basis import gram_matrix_fraction, moment_matrix
+from spherebound.basis import _lgamma_tables, gram_matrix_fraction, moment_matrix
+from spherebound.bounds import _parity_components
 
 
 class TestSphereBasis:
@@ -186,6 +187,101 @@ class TestPencil:
             for j in (1, 4, 8):
                 a = tuple(E[i] + E[j] + np.array([2, 0, 0]))
                 assert_allclose(M[i, j], o.moment(a), rtol=1e-13, atol=1e-16)
+
+
+def _moment_matrix_reference(E1, E2, n, shift=None, chunk=512):
+    """Reference assembly: the (rows x cols x n) exponent tensor, reduced."""
+    E1 = np.asarray(E1, dtype=np.int64)
+    E2 = np.asarray(E2, dtype=np.int64)
+    g = np.zeros(n, dtype=np.int64) if shift is None else np.asarray(shift, dtype=np.int64)
+    maxdeg = int(E1.sum(axis=1).max(initial=0) + E2.sum(axis=1).max(initial=0) + g.sum())
+    lg_half, lg_sum, c0 = _lgamma_tables(n, maxdeg)
+    m1, m2 = len(E1), len(E2)
+    out = np.empty((m1, m2))
+    base = E2[None, :, :] + g[None, None, :]
+    for lo in range(0, m1, chunk):
+        hi = min(lo + chunk, m1)
+        P = E1[lo:hi, None, :] + base
+        odd = (P & 1).any(axis=2)
+        S = P.sum(axis=2)
+        block = np.exp(c0 + lg_half[P].sum(axis=2) - lg_sum[S])
+        block[odd] = 0.0
+        out[lo:hi] = block
+    return out
+
+
+def _random_exponents(rng, m1, m2, n, top, shift):
+    """Random E1, E2 with zero rows; about half of E2's rows have the parity
+    of some E1 row plus shift, so both zero and nonzero entries occur."""
+    E1 = rng.integers(0, top + 1, size=(m1, n))
+    E2 = rng.integers(0, top + 1, size=(m2, n))
+    E1[rng.random(m1) < 0.2] = 0
+    E2[rng.random(m2) < 0.2] = 0
+    if m1:
+        g = 0 if shift is None else np.asarray(shift)
+        partner = (E1[rng.integers(0, m1, size=m2)] + g) & 1
+        pick = rng.random(m2) < 0.5
+        E2[pick] = (E2[pick] & ~1) | partner[pick]
+    return E1, E2
+
+
+class TestMomentMatrixAssembly:
+    """moment_matrix against the tensor reduction and the exact moments."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_bit_identical_on_random_rectangular(self, n):
+        rng = np.random.default_rng(100 + n)
+        nonzero = zero = 0
+        for m1, m2, chunk in [(37, 23, 512), (37, 23, 8), (1, 9, 512), (0, 5, 512), (6, 0, 4)]:
+            for shift in (None, tuple(int(v) for v in rng.integers(0, 4, size=n))):
+                E1, E2 = _random_exponents(rng, m1, m2, n, 6, shift)
+                M = moment_matrix(E1, E2, n, shift=shift, chunk=chunk)
+                ref = _moment_matrix_reference(E1, E2, n, shift=shift, chunk=chunk)
+                assert M.shape == (m1, m2)
+                assert np.array_equal(M, ref)
+                nonzero += np.count_nonzero(M)
+                zero += M.size - np.count_nonzero(M)
+        assert nonzero > 0 and zero > 0
+
+    def test_bit_identical_on_x5_sweep_blocks(self):
+        n, shift = 5, (0, 0, 0, 0, 1)
+        basis = sphere_basis(n, 16)
+        E = basis.exponent_array()
+        comps = _parity_components(basis.elements, [shift])
+        assert len(comps) == 16
+        for comp in comps:
+            Ec = E[comp]
+            for g in (None, shift):
+                assert np.array_equal(moment_matrix(Ec, Ec, n, shift=g),
+                                      _moment_matrix_reference(Ec, Ec, n, shift=g))
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_matches_exact_moments_beyond_seven_coordinates(self, n):
+        rng = np.random.default_rng(200 + n)
+        o = MomentOracle(n)
+        for shift in (None, tuple(int(v) for v in rng.integers(0, 3, size=n))):
+            E1, E2 = _random_exponents(rng, 9, 7, n, 4, shift)
+            g = np.zeros(n, dtype=np.int64) if shift is None else np.array(shift)
+            M = moment_matrix(E1, E2, n, shift=shift)
+            ref = np.array([[float(o.moment_fraction(tuple(a + b + g))) for b in E2]
+                            for a in E1])
+            assert np.count_nonzero(ref) > 0
+            assert_allclose(M, ref, rtol=1e-13, atol=0)
+
+
+    def test_parity_beyond_64_coordinates(self):
+        # coordinates past the first 64-bit parity code still decide oddness
+        n = 70
+        E1 = np.zeros((3, n), dtype=np.int64)
+        E1[1, 66] = 1
+        E1[2, 66] = 2
+        E2 = np.zeros((2, n), dtype=np.int64)
+        E2[1, 66] = 1
+        o = MomentOracle(n)
+        M = moment_matrix(E1, E2, n)
+        ref = np.array([[float(o.moment_fraction(tuple(a + b))) for b in E2] for a in E1])
+        assert np.array_equal(M == 0.0, ref == 0.0)
+        assert_allclose(M, ref, rtol=1e-13, atol=0)
 
 
 class TestDump:

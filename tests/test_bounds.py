@@ -8,6 +8,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from conftest import random_poly
+from spherebound import bounds
 from spherebound import (CertificationError, ConditioningError, MomentOracle,
                          Polynomial, build_pencil, density_grid,
                          extract_density, grid_local_maxima, motzkin_form,
@@ -105,6 +106,9 @@ class TestUpperBound:
             upper_bound(f, 2, -1)
         with pytest.raises(ValueError):
             upper_bound(f, 3, 2)
+        for dps in (0, -5):
+            with pytest.raises(ValueError, match="dps"):
+                upper_bound(f, 2, 2, dps=dps)
 
     def test_json_payload(self):
         res = upper_bound(motzkin_form(), 3, 2)
@@ -271,6 +275,37 @@ class TestRational:
     def test_zero_denominator_rejected(self):
         with pytest.raises(CertificationError):
             rational_upper_bound(parse_poly("x1", 2), Polynomial.zero(2), 2, 1)
+
+    def test_nonpositive_dps_rejected(self):
+        for dps in (0, -5):
+            with pytest.raises(ValueError, match="dps"):
+                rational_upper_bound(parse_poly("x1", 2), parse_poly("2 + x1", 2),
+                                     2, 2, dps=dps)
+
+    def test_assembles_only_the_localized_matrices(self, monkeypatch):
+        # one moment matrix per term of p and of q in every block, no Gram
+        p = parse_poly("x1", 2)
+        q = parse_poly("2 + x1", 2)
+        calls = {"float": 0, "exact": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bounds, "moment_matrix", counting("float", bounds.moment_matrix))
+        monkeypatch.setattr(bounds, "gram_matrix_fraction",
+                            counting("exact", bounds.gram_matrix_fraction))
+        basis = sphere_basis(2, 3)
+        blocks = len(bounds._parity_components(basis.elements, [(1, 0), (0, 0)]))
+        expected = rational_upper_bound(p, q, 2, 3)
+        assert calls == {"float": 3 * blocks, "exact": 0}
+        calls["float"] = 0
+        res = rational_upper_bound(p, q, 2, 3, dps=30)
+        # the float A_q of each block gives the condition estimate
+        assert calls == {"float": 2 * blocks, "exact": 3 * blocks}
+        assert res.value == pytest.approx(expected.value, abs=1e-12)
 
     def test_json_payload_shape(self):
         res = rational_upper_bound(parse_poly("x1", 2), parse_poly("2 + x1", 2),

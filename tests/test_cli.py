@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spherebound
 from spherebound import MOTZKIN_TEXT, surface_area, upper_bound
 from spherebound.cli import main
 from spherebound.polynomials import parse_poly
@@ -49,6 +51,17 @@ class TestBoundCommand:
     def test_parse_error_is_input_failure(self, capsys):
         assert main(["bound", "--poly", "x1 + $", "--n", "2", "--r", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_coefficient_is_input_failure(self, capsys):
+        assert main(["bound", "--poly", "1e400*x1", "--n", "2", "--r", "1"]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    def test_nonpositive_dps_is_input_failure(self, capsys):
+        assert main(["bound", "--poly", "x1", "--n", "2", "--r", "1", "--dps", "0"]) == 2
+        assert "dps" in capsys.readouterr().err
+        assert main(["rational", "--p", "x1", "--q", "2 + x1", "--n", "2", "--r", "1",
+                     "--dps", "0"]) == 2
+        assert "dps" in capsys.readouterr().err
 
     def test_variable_out_of_range_is_input_failure(self):
         assert main(["bound", "--poly", "x3", "--n", "2", "--r", "1"]) == 2
@@ -143,10 +156,13 @@ class TestReproduceCommand:
 
 
 def test_module_entry_point():
+    # run from the directory that holds the imported package, so the child
+    # interpreter finds the same spherebound without PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "spherebound.cli", "bound", "--poly", "x1",
          "--n", "2", "--r", "1"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        cwd=Path(spherebound.__file__).resolve().parents[1])
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["value"] == pytest.approx(-math.cos(math.pi / 4), rel=1e-10)

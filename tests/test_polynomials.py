@@ -70,6 +70,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_poly("x1 +", 2)
 
+    def test_non_finite_coefficient_rejected_at_literal(self):
+        for text, position in [("1e400*x1", 0), ("x2 - 1e200*x1*1e200", 14),
+                               ("x1 + 1e309", 5)]:
+            with pytest.raises(ParseError) as info:
+                parse_poly(text, 2)
+            assert info.value.position == position
+        assert parse_poly("1e300*x1", 2).terms == {(1, 0): 1e300}
+
 
 class TestEvaluate:
     def test_motzkin_vanishes_at_minimizers(self):
@@ -126,6 +134,14 @@ class TestArithmetic:
     def test_scalar_multiplication(self):
         p = parse_poly("x1^2 - 2", 2)
         assert (3.0 * p).terms == {(2, 0): 3.0, (0, 0): -6.0}
+
+    def test_non_finite_coefficient_rejected(self):
+        for c in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not finite"):
+                Polynomial(2, {(1, 0): c})
+        big = Polynomial(2, {(1, 0): 1e308})
+        with pytest.raises(ValueError, match="not finite"):
+            big + big
 
     def test_immutable(self):
         p = parse_poly("x1", 2)
