@@ -308,9 +308,10 @@ def rational_upper_bound(p, q, n, r, dps=None):
     """Level-r upper bound for min p/q on S^{n-1} (q > 0 on the sphere).
 
     Solves the pencil (A_p, A_q); the density constraint is the integral of
-    q*h equal to 1, and coeffs is A_q-normalized.  The denominator must be
-    certified positive: q is sampled on a quasirandom grid and A_q must be
-    positive definite at this level.
+    q*h equal to 1, and coeffs is A_q-normalized.  The denominator is checked,
+    not certified: q must be positive on a 4,096-point quasirandom sample of
+    the sphere and A_q must be positive definite at this level.  A q that
+    dips below zero between the sample points can pass both checks.
     """
     n = int(n)
     r = int(r)
@@ -403,14 +404,8 @@ def density_grid(den, n, resolution=100):
     t, p = T.ravel(), P.ravel()
     st = np.sin(t)
     X = np.column_stack([st * np.sin(p), st * np.cos(p), np.cos(t)])
-    E = den.basis.exponent_array()
-    vals = np.zeros(len(X))
-    pows = [X[:, i][:, None] ** np.arange(E[:, i].max() + 1) for i in range(3)]
-    for col, c in enumerate(den.coeffs):
-        if c != 0.0:
-            a = E[col]
-            vals += c * pows[0][:, a[0]] * pows[1][:, a[1]] * pows[2][:, a[2]]
-    return np.column_stack([t, p, vals ** 2])
+    g = Polynomial(3, dict(zip(den.basis.elements, den.coeffs)))
+    return np.column_stack([t, p, g.eval_many(X) ** 2])
 
 
 def grid_local_maxima(grid, resolution):

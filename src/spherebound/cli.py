@@ -64,7 +64,12 @@ def build_parser():
                    help="decimal precision for the high-precision solve")
     b.add_argument("--json", default=None, help="output file (default stdout)")
 
-    q = sub.add_parser("rational", help="rational-objective upper bound as JSON")
+    q = sub.add_parser("rational", help="rational-objective upper bound as JSON",
+                       description="Level-r upper bound on min p/q over the "
+                                   "sphere. The positivity of q is checked, "
+                                   "not certified: q is sampled at 4,096 "
+                                   "quasirandom points and A_q must be "
+                                   "positive definite.")
     q.add_argument("--p", required=True, help="numerator literal or file")
     q.add_argument("--q", required=True, help="denominator literal or file")
     q.add_argument("--n", type=int, required=True)
@@ -124,7 +129,7 @@ def _cmd_rational(args):
 
 def _cmd_sweep(args):
     f = _read_poly(args.poly, args.n)
-    records = sweep(f, args.n, args.r_min, args.r_max, f_ref=args.fmin,
+    records = sweep(f, args.n, args.r_min, args.r_max,
                     certificates=not args.no_certificates, dps=args.dps)
     fh, close = _open_out(args.csv)
     try:

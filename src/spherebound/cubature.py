@@ -69,24 +69,6 @@ def circle_rule(d):
                           exactness_degree=d - 1, angles=angles)
 
 
-def angles_to_points(angles):
-    """Generalized spherical coordinates: map (m, n-1) angles to (m, n) points.
-
-    x_n = cos t_{n-1}, x_j = cos t_{j-1} * prod_{i>=j} sin t_i for 1 < j < n,
-    x_1 = prod sin t_i.
-    """
-    T = np.atleast_2d(np.asarray(angles, dtype=float))
-    m, k = T.shape
-    out = np.empty((m, k + 1))
-    suffix = np.ones(m)
-    out[:, k] = np.cos(T[:, k - 1])
-    for j in range(k - 1, 0, -1):
-        suffix = suffix * np.sin(T[:, j])
-        out[:, j] = np.cos(T[:, j - 1]) * suffix
-    out[:, 0] = suffix * np.sin(T[:, 0])
-    return out
-
-
 def sphere_product_rule(n, d):
     """Product cubature on S^{n-1}, exact for polynomials of degree <= 2d-1.
 
@@ -112,16 +94,31 @@ def sphere_product_rule(n, d):
         g = gauss_rule((i - 1) / 2.0, d)
         angle_grids.append(np.arccos(g.nodes[::-1]))
         weight_grids.append(g.weights[::-1])
-    mesh = np.meshgrid(*angle_grids, indexing="ij")
-    angles = np.column_stack([m.ravel() for m in mesh])
-    wmesh = np.meshgrid(*weight_grids, indexing="ij")
-    weights = np.ones(len(angles))
-    for w in wmesh:
-        weights = weights * w.ravel()
+    # open meshes (np.ix_) broadcast over the ij-ordered grid of angles,
+    # whose flattening gives the node order, first angle slowest; the trig
+    # functions run on the 1-D grids only
+    k = n - 1
+    angles = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
+    cos = np.ix_(*[np.cos(t) for t in angle_grids])
+    sin = np.ix_(*[np.sin(t) for t in angle_grids])
+    # generalized spherical coordinates: x_n = cos t_{n-1},
+    # x_j = cos t_{j-1} * prod_{i>=j} sin t_i for 1 < j < n, x_1 = prod sin t_i,
+    # with the sines multiplied in from the last angle down
+    nodes = np.empty(angles.shape[:-1] + (n,))
+    nodes[..., k] = cos[k - 1]
+    suffix = 1.0
+    for j in range(k - 1, 0, -1):
+        suffix = suffix * sin[j]
+        nodes[..., j] = cos[j - 1] * suffix
+    nodes[..., 0] = suffix * sin[0]
+    weights = 1.0
+    for w in np.ix_(*weight_grids):
+        weights = weights * w
+    weights = weights.reshape(-1)
     weights *= surface_area(n) / weights.sum()
-    return QuadratureRule(domain="sphere", dim=n, nodes=angles_to_points(angles),
+    return QuadratureRule(domain="sphere", dim=n, nodes=nodes.reshape(-1, n),
                           weights=weights, exactness_degree=2 * d - 1,
-                          angles=angles)
+                          angles=angles.reshape(-1, k))
 
 
 def max_exactness_error(rule, oracle=None):
@@ -138,7 +135,7 @@ def max_exactness_error(rule, oracle=None):
     worst = 0.0
     for alpha in _monomials_up_to(n, rule.exactness_degree):
         target = mass * oracle.moment(alpha)
-        got = float(rule.weights @ _eval_monomial(rule.nodes, alpha))
+        got = float(rule.weights @ Polynomial(n, {alpha: 1.0}).eval_many(rule.nodes))
         err = abs(got - target) / (abs(target) if target != 0.0 else 1.0)
         worst = max(worst, err)
     return worst
@@ -154,14 +151,6 @@ def _monomials_up_to(n, deg):
             yield from rec(prefix + (e,), remaining - 1, budget - e)
 
     yield from rec((), n, deg)
-
-
-def _eval_monomial(X, alpha):
-    vals = np.ones(len(X))
-    for i, e in enumerate(alpha):
-        if e:
-            vals = vals * X[:, i] ** e
-    return vals
 
 
 def select_rule_degree(f_degree, r):

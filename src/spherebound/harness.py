@@ -47,13 +47,11 @@ class RateFit:
     residual: float
 
 
-def sweep(f, n, r_lo, r_hi, f_ref=None, certificates=True, dps=None,
-          node_budget=5_000_000):
+def sweep(f, n, r_lo, r_hi, certificates=True, dps=None, node_budget=5_000_000):
     """Upper bounds (and cubature certificates) for each level in r_lo..r_hi.
 
-    f_ref is accepted for bookkeeping symmetry with fit_rate; it does not
-    affect the records.  Certificates are skipped when the product rule
-    would exceed the node budget.
+    Certificates are skipped when the product rule would exceed the node
+    budget.
     """
     if r_lo > r_hi:
         raise ValueError("empty level range")
@@ -173,7 +171,7 @@ def reproduce_table1(tol=TABLE1_TOLERANCE, certificates=False):
     ok means every deviation is within tol.
     """
     records = sweep(motzkin_form(), 3, 0, len(TABLE1_REFERENCE) - 1,
-                    f_ref=0.0, certificates=certificates)
+                    certificates=certificates)
     diffs = [rec.bound - ref for rec, ref in zip(records, TABLE1_REFERENCE)]
     ok = all(abs(d) <= tol for d in diffs)
     return records, diffs, ok

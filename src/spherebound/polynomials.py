@@ -18,6 +18,10 @@ import numpy as np
 TAU_SPHERE = 1e-9
 TAU_EVAL = 1e-12
 
+# Rows per block in Polynomial.eval_many: a block's power tables stay in
+# cache (32 KB per row of a table).
+EVAL_BLOCK = 4096
+
 
 class ParseError(ValueError):
     """Syntax error in polynomial text, with the offending position."""
@@ -172,22 +176,46 @@ class Polynomial:
         return total
 
     def eval_many(self, points):
-        """Evaluate at an (m, n) array of points, returning an (m,) array."""
+        """Evaluate at an (m, n) array of points, returning an (m,) array.
+
+        Points are taken EVAL_BLOCK rows at a time.  For each block, row e
+        of variable i's power table is x_i^e, built by repeated
+        multiplication; each term is its coefficient times its powers in
+        variable order, and terms are added in dict order.  Every output
+        entry depends on its own row only, so the block size does not
+        change any result.
+        """
         X = np.asarray(points, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"expected an (m, {self.n}) array, got {X.shape}")
-        out = np.zeros(len(X))
+        m = len(X)
+        out = np.zeros(m)
         if not self.terms:
             return out
-        # per-variable power tables shared by all terms
-        maxes = [max(a[i] for a in self.terms) for i in range(self.n)]
-        pows = [X[:, i][:, None] ** np.arange(maxes[i] + 1) for i in range(self.n)]
-        for a, c in self.terms.items():
-            t = np.full(len(X), c)
-            for i, e in enumerate(a):
-                if e:
-                    t *= pows[i][:, e]
-            out += t
+        tops = [max(a[i] for a in self.terms) for i in range(self.n)]
+        width = min(EVAL_BLOCK, m)
+        tables = [np.empty((top + 1, width)) for top in tops]
+        term = np.empty(width)
+        factors = [(c, [(i, e) for i, e in enumerate(a) if e])
+                   for a, c in self.terms.items()]
+        for start in range(0, m, EVAL_BLOCK):
+            k = min(EVAL_BLOCK, m - start)
+            for i, table in enumerate(tables):
+                if len(table) > 1:
+                    table[1, :k] = X[start:start + k, i]
+                for e in range(2, len(table)):
+                    np.multiply(table[e - 1, :k], table[1, :k], out=table[e, :k])
+            acc = out[start:start + k]
+            t = term[:k]
+            for c, powers in factors:
+                if not powers:
+                    acc += c
+                    continue
+                (i, e), rest = powers[0], powers[1:]
+                np.multiply(tables[i][e, :k], c, out=t)
+                for i, e in rest:
+                    t *= tables[i][e, :k]
+                acc += t
         return out
 
     def gradient(self):

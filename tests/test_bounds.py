@@ -181,6 +181,18 @@ class TestDensity:
         assert np.max(np.abs(H[:, 0] - H[:, -1])) <= 1e-12
         assert grid[:, 0].min() == 0.0 and grid[:, 0].max() == pytest.approx(math.pi)
 
+    def test_grid_is_square_of_eval_many(self):
+        den = extract_density(upper_bound(motzkin_form(), 3, 6))
+        res = 50
+        grid = density_grid(den, 3, resolution=res)
+        T, P = np.meshgrid(np.linspace(0.0, np.pi, res + 1),
+                           np.linspace(0.0, 2.0 * np.pi, res + 1), indexing="ij")
+        t, p = T.ravel(), P.ravel()
+        X = np.column_stack([np.sin(t) * np.sin(p), np.sin(t) * np.cos(p), np.cos(t)])
+        g = Polynomial(3, dict(zip(den.basis.elements, den.coeffs)))
+        assert np.array_equal(grid[:, 0], t) and np.array_equal(grid[:, 1], p)
+        assert np.array_equal(grid[:, 2], g.eval_many(X) ** 2)
+
     def test_constant_density_grid(self):
         den = extract_density(upper_bound(Polynomial.constant(3, 2.0), 3, 0))
         grid = density_grid(den, 3, resolution=10)

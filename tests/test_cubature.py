@@ -13,6 +13,7 @@ from spherebound import (JacobiParams, MomentOracle, circle_rule,
                          save_rule_csv, smallest_root, sphere_product_rule,
                          surface_area, upper_bound)
 from spherebound.cubature import select_rule_degree
+from spherebound.orthopoly import gauss_rule
 
 
 class TestCircleRule:
@@ -99,6 +100,52 @@ class TestSphereProductRule:
                     err = abs(got - target) / (abs(target) if target else 1.0)
                     worst = max(worst, err)
                 assert worst > 1e-6
+
+
+def _angles_to_points_reference(T):
+    """Generalized spherical coordinates of an (m, n-1) angle array, with
+    trigonometric functions applied to the full array."""
+    m, k = T.shape
+    out = np.empty((m, k + 1))
+    suffix = np.ones(m)
+    out[:, k] = np.cos(T[:, k - 1])
+    for j in range(k - 1, 0, -1):
+        suffix = suffix * np.sin(T[:, j])
+        out[:, j] = np.cos(T[:, j - 1]) * suffix
+    out[:, 0] = suffix * np.sin(T[:, 0])
+    return out
+
+
+def _sphere_product_rule_reference(n, d):
+    """The product rule built on a meshgrid of the angles: the construction
+    sphere_product_rule replaced with 1-D trigonometry and broadcasting."""
+    if n == 2:
+        base = circle_rule(2 * d)
+        return base.nodes, base.weights * surface_area(2), base.angles
+    angle_grids = [math.pi * np.arange(2 * d) / d]
+    weight_grids = [np.full(2 * d, math.pi / d)]
+    for i in range(2, n):
+        g = gauss_rule((i - 1) / 2.0, d)
+        angle_grids.append(np.arccos(g.nodes[::-1]))
+        weight_grids.append(g.weights[::-1])
+    mesh = np.meshgrid(*angle_grids, indexing="ij")
+    angles = np.column_stack([m.ravel() for m in mesh])
+    weights = np.ones(len(angles))
+    for w in np.meshgrid(*weight_grids, indexing="ij"):
+        weights = weights * w.ravel()
+    weights *= surface_area(n) / weights.sum()
+    return _angles_to_points_reference(angles), weights, angles
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_product_rule_bit_identical_to_meshgrid_reference(n, d):
+    rule = sphere_product_rule(n, d)
+    nodes, weights, angles = _sphere_product_rule_reference(n, d)
+    assert rule.nodes.shape == (2 * d ** (n - 1), n)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+    assert np.array_equal(rule.angles, angles)
 
 
 def _exact_degree(n, deg):

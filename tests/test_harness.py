@@ -53,13 +53,12 @@ class TestFitRate:
             fit_rate(records, 0.0, r_window=(1, 3))
 
     def test_linear_objective_rate_on_two_sphere(self):
-        records = sweep(parse_poly("x3", 3), 3, 4, 16, f_ref=-1.0,
-                        certificates=False)
+        records = sweep(parse_poly("x3", 3), 3, 4, 16, certificates=False)
         fit = fit_rate(records, -1.0)
         assert -2.3 <= fit.slope <= -1.7
 
     def test_motzkin_desk_scale_slope(self):
-        records = sweep(motzkin_form(), 3, 4, 9, f_ref=0.0, certificates=False)
+        records = sweep(motzkin_form(), 3, 4, 9, certificates=False)
         fit = fit_rate(records, 0.0, r_window=(4, 9))
         assert fit.slope < -0.5
 
@@ -70,7 +69,7 @@ class TestSweep:
         assert [rec.bound for rec in records] == [2.5] * 5
 
     def test_records_are_monotone_with_certificates(self):
-        records = sweep(parse_poly("x1", 2), 2, 1, 8, f_ref=-1.0)
+        records = sweep(parse_poly("x1", 2), 2, 1, 8)
         for a, b in zip(records, records[1:]):
             assert b.bound <= a.bound + 1e-10
         for rec in records:
@@ -171,7 +170,7 @@ class TestRotateLinear:
 
 class TestCsv:
     def _records(self):
-        return sweep(parse_poly("x1", 2), 2, 1, 6, f_ref=-1.0)
+        return sweep(parse_poly("x1", 2), 2, 1, 6)
 
     def test_round_trip_is_bit_identical(self):
         records = self._records()

@@ -106,6 +106,59 @@ class TestEvaluate:
             parse_poly("x1", 2).evaluate((1.0,))
 
 
+class TestEvalManyBlocks:
+    """eval_many works through EVAL_BLOCK = 4096 rows at a time."""
+
+    @staticmethod
+    def _poly(rng, terms=12):
+        # exponents up to 12 in each variable, mixed-sign coefficients
+        E = rng.integers(0, 13, size=(terms, 3))
+        E[0] = 0
+        C = rng.uniform(-2.0, 2.0, size=terms)
+        return Polynomial(3, {tuple(int(e) for e in a): c for a, c in zip(E, C)})
+
+    @pytest.mark.parametrize("m", [0, 1, 4095, 4096, 4097, 10_000])
+    def test_matches_pointwise_evaluation(self, m):
+        rng = np.random.default_rng(m)
+        p = self._poly(rng)
+        X = rng.uniform(-1.2, 1.2, size=(m, 3))
+        vals = p.eval_many(X)
+        assert vals.shape == (m,)
+        ref = np.array([p.evaluate(x) for x in X])
+        scale = sum(abs(c) for c in p.terms.values())
+        assert_allclose(vals, ref, rtol=1e-13, atol=1e-13 * scale)
+
+    def test_blocks_do_not_change_results(self):
+        # each row depends on itself only, so any split gives the same bits
+        rng = np.random.default_rng(5)
+        p = self._poly(rng)
+        X = rng.uniform(-1.0, 1.0, size=(10_000, 3))
+        whole = p.eval_many(X)
+        parts = np.concatenate([p.eval_many(X[s:s + 999]) for s in range(0, len(X), 999)])
+        assert np.array_equal(whole, parts)
+        assert np.array_equal(whole[[0, 4095, 4096, 8191, 8192, 9999]],
+                              [p.eval_many(X[i:i + 1])[0] for i in (0, 4095, 4096, 8191, 8192, 9999)])
+
+    def test_zero_polynomial(self):
+        X = np.random.default_rng(6).uniform(-1.0, 1.0, size=(5000, 4))
+        vals = Polynomial.zero(4).eval_many(X)
+        assert vals.shape == (5000,)
+        assert not vals.any()
+
+    def test_no_points(self):
+        for p in (Polynomial.zero(3), Polynomial.constant(3, 2.0), motzkin_form()):
+            vals = p.eval_many(np.empty((0, 3)))
+            assert vals.shape == (0,)
+        with pytest.raises(ValueError):
+            motzkin_form().eval_many(np.empty((0, 2)))
+
+    def test_constant_term_and_unit_powers(self):
+        p = Polynomial(3, {(0, 0, 0): 3.0, (0, 1, 0): -1.0, (1, 0, 1): 2.0})
+        X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(4097, 3))
+        ref = (3.0 + (-1.0) * X[:, 1]) + (2.0 * X[:, 0]) * X[:, 2]
+        assert np.array_equal(p.eval_many(X), ref)
+
+
 class TestArithmetic:
     def test_ring_laws_at_random_points(self):
         rng = np.random.default_rng(11)
