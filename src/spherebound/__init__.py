@@ -7,17 +7,16 @@ eigenvalue of a moment-matrix pencil, converges to the true minimum at
 rate 1/r^2, and is certified from below by product cubature rules.
 """
 
-from .basis import BasisSpec, Pencil, build_pencil, dump_matrix, gram_matrix, \
-    localized_matrix, moment_matrix, sphere_basis
-from .bounds import BoundResult, CertificationError, ConditioningError, Density, \
-    density_grid, extract_density, grid_local_maxima, rational_upper_bound, upper_bound
+from .basis import BasisSpec, dump_matrix, moment_matrix, sphere_basis
+from .bounds import BoundResult, CertificationError, ConditioningError, Density, Pencil, \
+    build_pencil, density_grid, extract_density, grid_local_maxima, rational_upper_bound, \
+    upper_bound
 from .cubature import QuadratureRule, circle_rule, cubature_lower_bound, \
     max_exactness_error, save_rule_csv, sphere_product_rule
 from .harness import MOTZKIN_TEXT, TABLE1_REFERENCE, RateFit, SweepRecord, estimate_min, \
     fit_rate, hessian_norm_bound, linearize_at, load_sweep_csv, motzkin_form, \
     reproduce_table1, rotate_linear, save_density_csv, save_sweep_csv, sweep
-from .moments import MomentOracle, ball_constant, integrate, interval_moment, \
-    monomial_moment, surface_area
+from .moments import MomentOracle, ball_constant, interval_moment, surface_area
 from .orthopoly import JacobiParams, TridiagonalMatrix, gauss_rule, gegenbauer_roots, \
     jacobi_matrix, smallest_root
 from .polynomials import ParseError, Polynomial, parse_poly, reduce_mod_sphere
@@ -32,10 +31,10 @@ __all__ = [
     "TABLE1_REFERENCE", "TridiagonalMatrix", "ball_constant", "build_pencil",
     "circle_rule", "cubature_lower_bound", "density_grid", "dump_matrix",
     "estimate_min", "extract_density", "fit_rate", "gauss_rule",
-    "gegenbauer_roots", "gram_matrix", "grid_local_maxima",
-    "hessian_norm_bound", "integrate", "interval_moment", "jacobi_matrix",
-    "linearize_at", "load_sweep_csv", "localized_matrix",
-    "max_exactness_error", "moment_matrix", "monomial_moment", "motzkin_form",
+    "gegenbauer_roots", "grid_local_maxima",
+    "hessian_norm_bound", "interval_moment", "jacobi_matrix",
+    "linearize_at", "load_sweep_csv",
+    "max_exactness_error", "moment_matrix", "motzkin_form",
     "parse_poly", "rational_upper_bound", "reduce_mod_sphere",
     "reproduce_table1", "rotate_linear", "save_density_csv", "save_rule_csv",
     "save_sweep_csv", "smallest_root", "sphere_basis", "sphere_points",

@@ -1,4 +1,4 @@
-"""Monomial bases on the sphere and moment-matrix pencils.
+"""Monomial bases on the sphere and their moment matrices.
 
 The basis at level r consists of all monomials x^alpha with |alpha| <= r and
 the last exponent at most 1; modulo the sphere relation these represent every
@@ -15,10 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .moments import MomentOracle
-from .polynomials import Polynomial
-
-# positive-definiteness threshold for Gram-type matrices
-TAU_PD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -32,25 +28,11 @@ class BasisSpec:
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def size(self):
-        return len(self.elements)
-
     def exponent_array(self):
         return np.array(self.elements, dtype=np.int64)
 
     def index(self, alpha):
         return self.elements.index(tuple(alpha))
-
-
-@dataclass(frozen=True)
-class Pencil:
-    """Symmetric pencil (A, B): A holds moments of f*x^a*x^b, B of x^a*x^b."""
-
-    A: np.ndarray
-    B: np.ndarray
-    basis: BasisSpec
-    f: Polynomial
 
 
 def sphere_basis(n, r):
@@ -136,50 +118,12 @@ def moment_matrix(E1, E2, n, shift=None, chunk=512):
     return out
 
 
-def gram_matrix(basis, oracle=None):
-    """Gram matrix B[a, b] = normalized moment of x^a * x^b."""
-    _check_oracle(basis, oracle)
-    E = basis.exponent_array()
-    return moment_matrix(E, E, basis.n)
-
-
-def localized_matrix(f, basis, oracle=None):
-    """Localized matrix A[a, b] = normalized moment of f * x^a * x^b."""
-    _check_oracle(basis, oracle)
-    if f.n != basis.n:
-        raise ValueError(f"polynomial dimension {f.n}, basis dimension {basis.n}")
-    E = basis.exponent_array()
-    A = np.zeros((len(E), len(E)))
-    for gamma, c in f.terms.items():
-        A += c * moment_matrix(E, E, basis.n, shift=gamma)
-    return A
-
-
-def build_pencil(f, basis, oracle=None):
-    """Assemble the pencil (A_f, B) over the given basis."""
-    return Pencil(A=localized_matrix(f, basis, oracle),
-                  B=gram_matrix(basis, oracle),
-                  basis=basis, f=f)
-
-
-def _check_oracle(basis, oracle):
-    if oracle is not None and oracle.n != basis.n:
-        raise ValueError(f"oracle dimension {oracle.n}, basis dimension {basis.n}")
-
-
 def gram_matrix_fraction(elements, n, shift=None):
     """Exact rational moment matrix over the listed exponent tuples."""
     oracle = MomentOracle(n)
-    zero = (0,) * n
-    g = tuple(shift) if shift is not None else zero
-    m = len(elements)
-    rows = []
-    for a in elements:
-        row = []
-        for b in elements:
-            row.append(oracle.moment_fraction(tuple(x + y + z for x, y, z in zip(a, b, g))))
-        rows.append(row)
-    return rows
+    g = (0,) * n if shift is None else tuple(shift)
+    return [[oracle.moment_fraction(tuple(x + y + z for x, y, z in zip(a, b, g)))
+             for b in elements] for a in elements]
 
 
 def dump_matrix(M, fh):

@@ -1,15 +1,20 @@
 """Minimum-expectation upper bounds over sum-of-squares densities.
 
 The level-r bound for f on the sphere is the smallest generalized eigenvalue
-of the pencil (A_f, B) over the reduced monomial basis.  Both matrices couple
-only exponent tuples whose parities match through some monomial of f, so the
-pencil splits into independent blocks; the solver exploits that split, which
-leaves every eigenvalue unchanged and keeps large levels tractable.
+of the pencil (A_f, B) over the reduced monomial basis, where A_g holds the
+moments of g x^a x^b and B = A_1 is the Gram matrix.  The rational bound for
+p/q is the same problem with B replaced by A_q, so the plain bound and the
+rational bound share one solver: the plain one is its q = 1 case.  Both
+matrices couple only exponent tuples whose parities match through some
+monomial of the numerator or denominator, so the pencil splits into
+independent blocks; the solver exploits that split, which leaves every
+eigenvalue unchanged and keeps large levels tractable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,14 +24,14 @@ from .basis import BasisSpec, gram_matrix_fraction, moment_matrix, sphere_basis
 from .polynomials import Polynomial
 from .sampling import sphere_points
 
-# condition number of the Gram matrix beyond which results carry a warning
+# condition number of B (the Gram matrix, or A_q) beyond which results carry a warning
 COND_LIMIT = 1e12
 # eigenvalue gap under which the smallest eigenvalue is flagged as multiple
 GAP_TOL = 1e-10
 
 
 class ConditioningError(RuntimeError):
-    """The Gram-type matrix is not numerically positive definite."""
+    """The pencil's B (Gram matrix or A_q) is not numerically positive definite."""
 
 
 class CertificationError(RuntimeError):
@@ -53,14 +58,27 @@ class BoundResult:
     degenerate: bool
 
     def to_json_dict(self):
+        """JSON-ready fields; a non-finite condition number becomes None."""
+        cond = float(self.condition_number)
         return {
             "n": self.n,
             "r": self.r,
             "value": self.value,
             "basis_size": len(self.basis),
+            "condition_number": cond if math.isfinite(cond) else None,
             "condition_warning": self.condition_warning,
+            "degenerate": self.degenerate,
             "coeffs": [float(c) for c in self.coeffs],
         }
+
+
+@dataclass(frozen=True)
+class Pencil:
+    """Symmetric pencil (A, B): A holds moments of f*x^a*x^b, B of x^a*x^b."""
+
+    A: np.ndarray
+    B: np.ndarray
+    basis: BasisSpec
 
 
 @dataclass(frozen=True)
@@ -77,8 +95,9 @@ def _parity_components(elements, shifts):
     """Indices of the pencil's independent blocks under exponent parity.
 
     Two basis elements interact iff their parities differ by the parity of
-    some shift (monomial of f); the components of that graph give a block
-    structure shared by every matrix in the pencil.
+    some shift (monomial of the numerator or denominator); the components
+    of that graph give a block structure shared by every matrix in the
+    pencil.
     """
     class_ids = {}
     members = []
@@ -121,13 +140,8 @@ def _localized_block(terms, E, n):
     return A
 
 
-def _assemble_block(terms, E, n):
-    """Float pencil block: (sum_g c_g M_g, M_0) over exponent rows E."""
-    B = moment_matrix(E, E, n)
-    return _localized_block(terms, E, n), B
-
-
 def _localized_block_fraction(terms, elements, n):
+    """Exact analogue of _localized_block over the listed exponent tuples."""
     m = len(elements)
     A = [[Fraction(0)] * m for _ in range(m)]
     for gamma, c in terms.items():
@@ -139,18 +153,22 @@ def _localized_block_fraction(terms, elements, n):
     return A
 
 
-def _assemble_block_fraction(terms, elements, n):
-    B = gram_matrix_fraction(elements, n)
-    return _localized_block_fraction(terms, elements, n), B
+def build_pencil(f, basis):
+    """Assemble the whole pencil (A_f, B) over the given basis, unsplit."""
+    if f.n != basis.n:
+        raise ValueError(f"polynomial dimension {f.n}, basis dimension {basis.n}")
+    E = basis.exponent_array()
+    return Pencil(A=_localized_block(f.terms, E, basis.n),
+                  B=_localized_block(_unit(basis.n), E, basis.n), basis=basis)
+
+
+def _unit(n):
+    """Terms of the constant polynomial 1, whose localized matrix is B."""
+    return {(0,) * n: 1.0}
 
 
 def _solve_block(A, B, r):
-    """Two smallest eigenpairs of A v = lambda B v, plus B's spectrum range."""
-    bw = scipy.linalg.eigh(B, eigvals_only=True)
-    if bw[0] <= 0.0:
-        raise ConditioningError(
-            f"Gram matrix numerically indefinite at level r={r} "
-            f"(smallest eigenvalue {bw[0]:.3e}); retry with dps set")
+    """Two smallest eigenpairs of A v = lambda B v for a positive definite B."""
     m = len(B)
     hi = min(1, m - 1)
     try:
@@ -160,7 +178,7 @@ def _solve_block(A, B, r):
             f"Cholesky reduction failed at level r={r}: {exc}; retry with dps set"
         ) from exc
     second = float(w[1]) if hi == 1 else None
-    return float(w[0]), second, V[:, 0].copy(), float(bw[0]), float(bw[-1])
+    return float(w[0]), second, V[:, 0].copy()
 
 
 def _solve_block_hp(Afrac, Bfrac, dps):
@@ -237,35 +255,61 @@ def _pick_winner(results, size):
     return lam0, coeffs, gap
 
 
-def _solve_pencil(terms, basis, r, dps):
-    """Blockwise smallest eigenpair over the whole pencil."""
+def _solve_pencil(num_terms, den_terms, basis, r, dps):
+    """Bound from the blockwise smallest eigenpair of the pencil (A_num, A_den).
+
+    The coefficient vector is A_den-normalized and the condition number is
+    that of the float A_den.  In float64 an A_den block that is not
+    numerically positive definite raises ConditioningError; with dps set
+    the exact blocks are solved in extended precision and only the
+    condition number uses the float A_den.
+    """
+    n = basis.n
     elements = basis.elements
     E = basis.exponent_array()
-    comps = _parity_components(elements, list(terms.keys()))
+    comps = _parity_components(elements, list(num_terms) + list(den_terms))
     results = []
     bmin, bmax = np.inf, -np.inf
     for comp in comps:
         Ec = E[comp]
+        B = _localized_block(den_terms, Ec, n)
+        bw = scipy.linalg.eigh(B, eigvals_only=True)
         if dps is None:
-            Ab, Bb = _assemble_block(terms, Ec, basis.n)
-            w0, w1, vec, lo, hi = _solve_block(Ab, Bb, r)
+            if bw[0] <= 0.0:
+                raise ConditioningError(
+                    f"B numerically indefinite at level r={r} "
+                    f"(smallest eigenvalue {bw[0]:.3e}); retry with dps set")
+            w0, w1, vec = _solve_block(_localized_block(num_terms, Ec, n), B, r)
         else:
             elems_c = [elements[i] for i in comp]
-            Afrac, Bfrac = _assemble_block_fraction(terms, elems_c, basis.n)
-            w0, w1, vec = _solve_block_hp(Afrac, Bfrac, dps)
-            bw = np.linalg.eigvalsh(moment_matrix(Ec, Ec, basis.n))
-            lo, hi = float(bw[0]), float(bw[-1])
-        bmin = min(bmin, lo)
-        bmax = max(bmax, hi)
+            w0, w1, vec = _solve_block_hp(
+                _localized_block_fraction(num_terms, elems_c, n),
+                _localized_block_fraction(den_terms, elems_c, n), dps)
+        bmin = min(bmin, float(bw[0]))
+        bmax = max(bmax, float(bw[-1]))
         results.append((w0, w1, vec, comp))
     value, coeffs, gap = _pick_winner(results, len(elements))
     cond = bmax / bmin if bmin > 0 else np.inf
-    return value, coeffs, gap, cond
+    return BoundResult(n=n, r=r, value=value, coeffs=coeffs, basis=basis,
+                       condition_number=cond,
+                       condition_warning=bool(cond > COND_LIMIT),
+                       degenerate=bool(gap < GAP_TOL))
 
 
-def _check_dps(dps):
+def _check_args(n, r, polys, dps):
+    """Validated (n, r) shared by the entry points."""
+    n = int(n)
+    r = int(r)
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
+    if r < 0:
+        raise ValueError("level must be nonnegative")
+    for p in polys:
+        if p.n != n:
+            raise ValueError(f"polynomial dimension {p.n}, expected {n}")
     if dps is not None and dps <= 0:
         raise ValueError(f"dps must be a positive number of digits, got {dps}")
+    return n, r
 
 
 def upper_bound(f, n, r, dps=None):
@@ -277,31 +321,17 @@ def upper_bound(f, n, r, dps=None):
     rational assembly plus high-precision arithmetic instead of float64
     (needed when the Gram condition number approaches 1/eps).
     """
-    n = int(n)
-    r = int(r)
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if r < 0:
-        raise ValueError("level must be nonnegative")
-    if f.n != n:
-        raise ValueError(f"polynomial dimension {f.n}, expected {n}")
-    _check_dps(dps)
+    n, r = _check_args(n, r, [f], dps)
     basis = sphere_basis(n, r)
+    one = _unit(n)
     if f.is_constant():
         # pencil is c*B = lambda*B: every vector is optimal, pick the first
         # basis vector (B-normalized since the Gram entry at 1,1 is 1)
         coeffs = np.zeros(len(basis))
         coeffs[0] = 1.0
-        _, _, gap, cond = _solve_pencil({(0,) * n: 1.0}, basis, r, None)
-        return BoundResult(n=n, r=r, value=f.constant_term(), coeffs=coeffs,
-                           basis=basis, condition_number=cond,
-                           condition_warning=bool(cond > COND_LIMIT),
-                           degenerate=len(basis) > 1)
-    value, coeffs, gap, cond = _solve_pencil(f.terms, basis, r, dps)
-    return BoundResult(n=n, r=r, value=value, coeffs=coeffs, basis=basis,
-                       condition_number=cond,
-                       condition_warning=bool(cond > COND_LIMIT),
-                       degenerate=bool(gap < GAP_TOL))
+        return replace(_solve_pencil(one, one, basis, r, None),
+                       value=f.constant_term(), coeffs=coeffs, degenerate=len(basis) > 1)
+    return _solve_pencil(f.terms, one, basis, r, dps)
 
 
 def rational_upper_bound(p, q, n, r, dps=None):
@@ -313,15 +343,7 @@ def rational_upper_bound(p, q, n, r, dps=None):
     the sphere and A_q must be positive definite at this level.  A q that
     dips below zero between the sample points can pass both checks.
     """
-    n = int(n)
-    r = int(r)
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if r < 0:
-        raise ValueError("level must be nonnegative")
-    if p.n != n or q.n != n:
-        raise ValueError("polynomial dimensions must match n")
-    _check_dps(dps)
+    n, r = _check_args(n, r, [p, q], dps)
     if not q:
         raise CertificationError("denominator is the zero polynomial")
     samples = q.eval_many(sphere_points(4096, n, seed=11))
@@ -330,49 +352,10 @@ def rational_upper_bound(p, q, n, r, dps=None):
             f"q not certified positive at level r={r}: sampled value "
             f"{samples.min():.3e} on the sphere")
     basis = sphere_basis(n, r)
-    elements = basis.elements
-    E = basis.exponent_array()
-    shifts = list(p.terms.keys()) + list(q.terms.keys())
-    comps = _parity_components(elements, shifts)
-    results = []
-    qmin, qmax = np.inf, -np.inf
-    for comp in comps:
-        Ec = E[comp]
-        if dps is None:
-            Ap = _localized_block(p.terms, Ec, n)
-            Aq = _localized_block(q.terms, Ec, n)
-            qw = np.linalg.eigvalsh(Aq)
-            if qw[0] <= 0.0:
-                raise CertificationError(
-                    f"q not certified positive at level r={r}: A_q has "
-                    f"eigenvalue {qw[0]:.3e}")
-            try:
-                w, V = scipy.linalg.eigh(Ap, Aq, subset_by_index=[0, min(1, len(comp) - 1)])
-            except scipy.linalg.LinAlgError as exc:
-                raise CertificationError(
-                    f"q not certified positive at level r={r}: {exc}") from exc
-            w0 = float(w[0])
-            w1 = float(w[1]) if len(comp) > 1 else None
-            vec = V[:, 0].copy()
-        else:
-            elems_c = [elements[i] for i in comp]
-            Apf = _localized_block_fraction(p.terms, elems_c, n)
-            Aqf = _localized_block_fraction(q.terms, elems_c, n)
-            try:
-                w0, w1, vec = _solve_block_hp(Apf, Aqf, dps)
-            except ConditioningError as exc:
-                raise CertificationError(
-                    f"q not certified positive at level r={r}: {exc}") from exc
-            qw = np.linalg.eigvalsh(_localized_block(q.terms, Ec, n))
-        qmin = min(qmin, float(qw[0]))
-        qmax = max(qmax, float(qw[-1]))
-        results.append((w0, w1, vec, comp))
-    value, coeffs, gap = _pick_winner(results, len(elements))
-    cond = qmax / qmin if qmin > 0 else np.inf
-    return BoundResult(n=n, r=r, value=value, coeffs=coeffs, basis=basis,
-                       condition_number=cond,
-                       condition_warning=bool(cond > COND_LIMIT),
-                       degenerate=bool(gap < GAP_TOL))
+    try:
+        return _solve_pencil(p.terms, q.terms, basis, r, dps)
+    except ConditioningError as exc:
+        raise CertificationError(f"q not certified positive at level r={r}: {exc}") from exc
 
 
 def extract_density(res):

@@ -101,10 +101,3 @@ class MomentOracle:
             raise ValueError(f"polynomial dimension {p.n}, oracle dimension {self.n}")
         return sum(c * self.moment(a) for a, c in p.terms.items())
 
-
-def monomial_moment(alpha, oracle):
-    return oracle.moment(alpha)
-
-
-def integrate(p, oracle):
-    return oracle.integrate(p)

@@ -13,10 +13,8 @@ import re
 
 import numpy as np
 
-# Tolerances for sphere-related checks: membership of a point on the unit
-# sphere, and agreement of two polynomials as functions on the sphere.
+# Tolerance for membership of a point on the unit sphere.
 TAU_SPHERE = 1e-9
-TAU_EVAL = 1e-12
 
 # Rows per block in Polynomial.eval_many: a block's power tables stay in
 # cache (32 KB per row of a table).

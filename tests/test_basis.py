@@ -9,9 +9,8 @@ from numpy.testing import assert_allclose
 
 from conftest import random_poly, random_sphere
 from spherebound import (MomentOracle, Polynomial, build_pencil, dump_matrix,
-                         gram_matrix, localized_matrix, motzkin_form,
-                         parse_poly, reduce_mod_sphere, sphere_basis,
-                         sphere_points)
+                         motzkin_form, parse_poly, reduce_mod_sphere,
+                         sphere_basis, sphere_points)
 from spherebound.basis import _lgamma_tables, gram_matrix_fraction, moment_matrix
 from spherebound.bounds import _parity_components
 
@@ -56,38 +55,44 @@ class TestSphereBasis:
         assert all(tuple(row) == a for row, a in zip(E, b.elements))
 
 
+def _gram(b):
+    """Gram matrix B[a, b] = normalized moment of x^a * x^b."""
+    E = b.exponent_array()
+    return moment_matrix(E, E, b.n)
+
+
 class TestGramMatrix:
     def test_unit_entry(self):
         for n, r in [(2, 1), (3, 3), (4, 2)]:
-            B = gram_matrix(sphere_basis(n, r))
+            B = _gram(sphere_basis(n, r))
             assert B[0, 0] == 1.0
 
     def test_circle_level_one(self):
-        B = gram_matrix(sphere_basis(2, 1))
+        B = _gram(sphere_basis(2, 1))
         assert_allclose(B, np.diag([1.0, 0.5, 0.5]), rtol=0, atol=1e-15)
 
     def test_symmetric(self):
         for n, r in [(3, 4), (4, 3)]:
-            B = gram_matrix(sphere_basis(n, r))
+            B = _gram(sphere_basis(n, r))
             assert np.max(np.abs(B - B.T)) <= 1e-14
 
     def test_positive_definite_certificate(self):
         for n in (2, 3, 4):
             for r in range(0, 7):
-                B = gram_matrix(sphere_basis(n, r))
+                B = _gram(sphere_basis(n, r))
                 assert np.linalg.eigvalsh(B)[0] > 1e-10
 
     def test_matches_exact_rational(self):
         for n, r in [(2, 5), (3, 3)]:
             b = sphere_basis(n, r)
-            B = gram_matrix(b)
+            B = _gram(b)
             F = gram_matrix_fraction(b.elements, n)
             ref = np.array([[float(v) for v in row] for row in F])
             assert_allclose(B, ref, rtol=1e-14, atol=1e-16)
 
     def test_matches_quasirandom_sampling(self):
         b = sphere_basis(3, 3)
-        B = gram_matrix(b)
+        B = _gram(b)
         X = sphere_points(1 << 18, 3, seed=2)
         V = np.ones((len(X), len(b)))
         for j, a in enumerate(b.elements):
@@ -101,7 +106,7 @@ class TestGramMatrix:
         rng = np.random.default_rng(8)
         for n, r in [(2, 4), (3, 4)]:
             b = sphere_basis(n, r)
-            B = gram_matrix(b)
+            B = _gram(b)
             o = MomentOracle(n)
             X = random_sphere(50, n, rng)
             for gamma in _monomials(n, r):
@@ -134,18 +139,18 @@ def _monomials(n, degree):
 class TestLocalizedMatrix:
     def test_identity_objective_recovers_gram(self):
         b = sphere_basis(3, 3)
-        A = localized_matrix(Polynomial.constant(3, 1.0), b)
-        B = gram_matrix(b)
+        A = build_pencil(Polynomial.constant(3, 1.0), b).A
+        B = _gram(b)
         assert np.array_equal(A, B)
 
     def test_circle_linear_objective(self):
         b = sphere_basis(2, 1)
-        A = localized_matrix(parse_poly("x1", 2), b)
+        A = build_pencil(parse_poly("x1", 2), b).A
         expect = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
         assert_allclose(A, expect, rtol=0, atol=1e-15)
 
     def test_motzkin_level_zero(self):
-        A = localized_matrix(motzkin_form(), sphere_basis(3, 0))
+        A = build_pencil(motzkin_form(), sphere_basis(3, 0)).A
         assert_allclose(A, [[6.0 / 35]], rtol=1e-13)
 
     def test_linear_in_objective(self):
@@ -153,16 +158,16 @@ class TestLocalizedMatrix:
         b = sphere_basis(3, 2)
         f = random_poly(3, 4, rng)
         g = random_poly(3, 4, rng)
-        Af = localized_matrix(f, b)
-        Ag = localized_matrix(g, b)
-        Afg = localized_matrix(f + g, b)
+        Af = build_pencil(f, b).A
+        Ag = build_pencil(g, b).A
+        Afg = build_pencil(f + g, b).A
         assert np.max(np.abs(Afg - (Af + Ag))) <= 1e-14
 
     def test_measure_rescaling_preserves_eigenvalues(self):
         import scipy.linalg
         b = sphere_basis(3, 2)
         f = motzkin_form()
-        A, B = localized_matrix(f, b), gram_matrix(b)
+        A, B = build_pencil(f, b).A, _gram(b)
         w = scipy.linalg.eigh(A, B, eigvals_only=True)
         w_scaled = scipy.linalg.eigh(7.3 * A, 7.3 * B, eigvals_only=True)
         assert_allclose(w_scaled, w, rtol=1e-12, atol=1e-14)
@@ -176,6 +181,11 @@ class TestPencil:
         assert pen.A.shape == pen.B.shape == (len(b), len(b))
         assert np.max(np.abs(pen.A - pen.A.T)) <= 1e-14
         assert np.max(np.abs(pen.B - pen.B.T)) <= 1e-14
+        assert np.array_equal(pen.B, _gram(b))
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            build_pencil(parse_poly("x1", 2), sphere_basis(3, 2))
 
     def test_moment_matrix_shift(self):
         # shifting by a monomial multiplies the integrand
@@ -286,7 +296,7 @@ class TestMomentMatrixAssembly:
 
 class TestDump:
     def test_round_trip(self):
-        B = gram_matrix(sphere_basis(3, 2))
+        B = _gram(sphere_basis(3, 2))
         buf = io.StringIO()
         dump_matrix(B, buf)
         back = np.loadtxt(io.StringIO(buf.getvalue()))

@@ -113,11 +113,13 @@ class TestUpperBound:
     def test_json_payload(self):
         res = upper_bound(motzkin_form(), 3, 2)
         payload = res.to_json_dict()
-        assert set(payload) == {"n", "r", "value", "basis_size",
-                                "condition_warning", "coeffs"}
+        assert set(payload) == {"n", "r", "value", "basis_size", "condition_number",
+                                "condition_warning", "degenerate", "coeffs"}
         assert payload["n"] == 3 and payload["r"] == 2
         assert payload["basis_size"] == len(res.basis)
         assert len(payload["coeffs"]) == len(res.basis)
+        assert payload["condition_number"] == res.condition_number
+        assert payload["degenerate"] is res.degenerate
 
 
 class TestCircleClosedForm:
@@ -145,6 +147,9 @@ class TestCircleClosedForm:
             upper_bound(f, 2, 24)
         res = upper_bound(f, 2, 24, dps=60)
         assert abs(res.value + math.cos(math.pi / 50)) <= 1e-12
+        # the float Gram matrix is indefinite: no finite condition number
+        assert res.condition_number == math.inf
+        assert res.to_json_dict()["condition_number"] is None
 
     def test_high_precision_agrees_with_float_at_low_level(self):
         f = parse_poly("x1", 2)
@@ -249,12 +254,16 @@ def _to_points(maxima):
 
 class TestRational:
     def test_unit_denominator_matches_polynomial_bound(self):
+        # the plain bound is the q = 1 case of the same solver, bit for bit
         f = motzkin_form()
         one = Polynomial.constant(3, 1.0)
-        for r in range(0, 6):
-            a = rational_upper_bound(f, one, 3, r).value
-            b = upper_bound(f, 3, r).value
-            assert abs(a - b) <= 1e-10
+        cases = [(r, None) for r in range(0, 6)] + [(r, 30) for r in range(0, 4)]
+        for r, dps in cases:
+            a = rational_upper_bound(f, one, 3, r, dps=dps)
+            b = upper_bound(f, 3, r, dps=dps)
+            assert a.value == b.value
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert a.condition_number == b.condition_number
 
     def test_equal_numerator_denominator_is_one(self):
         q = parse_poly("2 + x1", 2)
@@ -283,6 +292,16 @@ class TestRational:
     def test_sign_changing_denominator_rejected(self):
         with pytest.raises(CertificationError):
             rational_upper_bound(parse_poly("x1", 2), parse_poly("x1", 2), 2, 2)
+
+    def test_indefinite_denominator_matrix_rejected(self, monkeypatch):
+        # q = x1 passes a sample that lies where x1 > 0, but A_q is indefinite
+        monkeypatch.setattr(bounds, "sphere_points",
+                            lambda count, n, seed=None: np.tile([1.0, 0.0], (count, 1)))
+        x1 = parse_poly("x1", 2)
+        for dps in (None, 30):
+            with pytest.raises(CertificationError, match="not certified positive") as info:
+                rational_upper_bound(x1, x1, 2, 2, dps=dps)
+            assert "sampled value" not in str(info.value)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(CertificationError):
@@ -323,5 +342,5 @@ class TestRational:
         res = rational_upper_bound(parse_poly("x1", 2), parse_poly("2 + x1", 2),
                                    2, 4)
         payload = res.to_json_dict()
-        assert set(payload) == {"n", "r", "value", "basis_size",
-                                "condition_warning", "coeffs"}
+        assert set(payload) == {"n", "r", "value", "basis_size", "condition_number",
+                                "condition_warning", "degenerate", "coeffs"}

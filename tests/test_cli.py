@@ -22,8 +22,8 @@ class TestBoundCommand:
                      "--json", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert set(payload) == {"n", "r", "value", "basis_size",
-                                "condition_warning", "coeffs"}
+        assert set(payload) == {"n", "r", "value", "basis_size", "condition_number",
+                                "condition_warning", "degenerate", "coeffs"}
         ref = upper_bound(parse_poly(MOTZKIN_TEXT, 3), 3, 3)
         assert payload["value"] == pytest.approx(ref.value, rel=1e-12)
 
@@ -44,9 +44,16 @@ class TestBoundCommand:
         code = main(["bound", "--poly", "x1", "--n", "2", "--r", "24",
                      "--dps", "60"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert payload["value"] == pytest.approx(-math.cos(math.pi / 50),
                                                  abs=1e-12)
+        # the float Gram matrix is indefinite here, so the condition number
+        # is infinite; it is written as null, not as the invalid Infinity
+        assert payload["condition_number"] is None
 
     def test_parse_error_is_input_failure(self, capsys):
         assert main(["bound", "--poly", "x1 + $", "--n", "2", "--r", "1"]) == 2
