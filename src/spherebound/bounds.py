@@ -45,7 +45,10 @@ class BoundResult:
     coeffs is normalized against the constraint matrix of the pencil (the
     Gram matrix, or A_q for rational bounds); degenerate marks a smallest
     eigenvalue with gap below GAP_TOL, where the density is non-unique and
-    the reported one is the solver's canonical choice.
+    the reported one is the solver's canonical choice.  condition_number is
+    that of the float64 constraint matrix even when dps is set (inf when
+    float64 finds it indefinite), so a condition_warning on a dps result
+    means that float64 alone would not have been enough.
     """
 
     n: int
@@ -97,38 +100,26 @@ def _parity_components(elements, shifts):
     Two basis elements interact iff their parities differ by the parity of
     some shift (monomial of the numerator or denominator); the components
     of that graph give a block structure shared by every matrix in the
-    pencil.
+    pencil.  A depth-first search over parity classes, taken in order of
+    first appearance, lists the blocks by their smallest index.
     """
-    class_ids = {}
-    members = []
+    classes = {}
     for i, a in enumerate(elements):
-        p = tuple(e & 1 for e in a)
-        j = class_ids.setdefault(p, len(members))
-        if j == len(members):
-            members.append([])
-        members[j].append(i)
-    parent = list(range(len(members)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in shifts:
-        gp = tuple(e & 1 for e in g)
-        for p, j in class_ids.items():
-            q = tuple((a + b) & 1 for a, b in zip(p, gp))
-            k = class_ids.get(q)
-            if k is not None:
-                rj, rk = find(j), find(k)
-                if rj != rk:
-                    parent[rk] = rj
-    groups = {}
-    for j, idx in enumerate(members):
-        groups.setdefault(find(j), []).extend(idx)
-    comps = [np.array(sorted(g), dtype=np.intp) for g in groups.values()]
-    comps.sort(key=lambda c: c[0])
+        classes.setdefault(tuple(e & 1 for e in a), []).append(i)
+    flips = {tuple(e & 1 for e in g) for g in shifts}
+    comps = []
+    while classes:
+        # reached classes leave the dict; the first one left starts the next block
+        stack = [next(iter(classes))]
+        idx = classes.pop(stack[0])
+        while stack:
+            p = stack.pop()
+            for g in flips:
+                q = tuple(a ^ b for a, b in zip(p, g))
+                if q in classes:
+                    idx += classes.pop(q)
+                    stack.append(q)
+        comps.append(np.sort(np.array(idx, dtype=np.intp)))
     return comps
 
 
@@ -323,15 +314,15 @@ def upper_bound(f, n, r, dps=None):
     """
     n, r = _check_args(n, r, [f], dps)
     basis = sphere_basis(n, r)
-    one = _unit(n)
+    res = _solve_pencil(f.terms, _unit(n), basis, r, dps)
     if f.is_constant():
         # pencil is c*B = lambda*B: every vector is optimal, pick the first
         # basis vector (B-normalized since the Gram entry at 1,1 is 1)
         coeffs = np.zeros(len(basis))
         coeffs[0] = 1.0
-        return replace(_solve_pencil(one, one, basis, r, None),
-                       value=f.constant_term(), coeffs=coeffs, degenerate=len(basis) > 1)
-    return _solve_pencil(f.terms, one, basis, r, dps)
+        res = replace(res, value=f.constant_term(), coeffs=coeffs,
+                      degenerate=len(basis) > 1)
+    return res
 
 
 def rational_upper_bound(p, q, n, r, dps=None):
@@ -398,27 +389,15 @@ def grid_local_maxima(grid, resolution):
     pole rows are excluded since all their entries map to a single point.
     """
     resolution = int(resolution)
-    H = np.asarray(grid)[:, 2].reshape(resolution + 1, resolution + 1)
-    core = H[:, :resolution]
+    G = np.asarray(grid).reshape(resolution + 1, resolution + 1, 3)[:, :resolution]
+    H = G[..., 2]
+    # one wrapped column on each side, so every neighbor is a slice
+    W = np.concatenate([H[:, -1:], H, H[:, :1]], axis=1)
+    core = H[1:-1]
     strict = np.ones_like(core, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = np.roll(core, -dj, axis=1)
-            if di == -1:
-                neighbor = np.vstack([np.full((1, resolution), np.inf), shifted[:-1]])
-            elif di == 1:
-                neighbor = np.vstack([shifted[1:], np.full((1, resolution), np.inf)])
-            else:
-                neighbor = shifted
-            strict &= core > neighbor
-    strict[0, :] = False
-    strict[resolution, :] = False
-    out = []
-    theta = np.asarray(grid)[:, 0].reshape(resolution + 1, resolution + 1)
-    phi = np.asarray(grid)[:, 1].reshape(resolution + 1, resolution + 1)
-    for i, j in zip(*np.nonzero(strict)):
-        out.append((theta[i, j], phi[i, j], core[i, j]))
-    out.sort(key=lambda row: -row[2])
-    return np.array(out) if out else np.empty((0, 3))
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            if (di, dj) != (1, 1):
+                strict &= core > W[di:di + resolution - 1, dj:dj + resolution]
+    rows = G[1:-1][strict]
+    return rows[np.argsort(-rows[:, 2], kind="stable")]

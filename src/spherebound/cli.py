@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .bounds import CertificationError, ConditioningError, density_grid, extract_density, \
     rational_upper_bound, upper_bound
@@ -33,20 +34,14 @@ def _read_poly(text, n):
     return parse_poly(text, n)
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def _output(path):
+    """Context manager for the file at path, or for stdout (left open) if None."""
+    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
 
 
 def _write_json(res, path):
-    fh, close = _open_out(path)
-    try:
-        json.dump(res.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    with _output(path) as fh:
+        fh.write(json.dumps(res.to_json_dict(), indent=2) + "\n")
 
 
 def build_parser():
@@ -131,12 +126,8 @@ def _cmd_sweep(args):
     f = _read_poly(args.poly, args.n)
     records = sweep(f, args.n, args.r_min, args.r_max,
                     certificates=not args.no_certificates, dps=args.dps)
-    fh, close = _open_out(args.csv)
-    try:
+    with _output(args.csv) as fh:
         save_sweep_csv(records, fh)
-    finally:
-        if close:
-            fh.close()
     if args.fmin is not None:
         fit = fit_rate(records, args.fmin)
         print(f"rate fit over r={fit.r_range[0]}..{fit.r_range[1]}: "
@@ -149,23 +140,15 @@ def _cmd_density_grid(args):
     f = _read_poly(args.poly, args.n)
     res = upper_bound(f, args.n, args.r, dps=args.dps)
     grid = density_grid(extract_density(res), args.n, args.resolution)
-    fh, close = _open_out(args.csv)
-    try:
+    with _output(args.csv) as fh:
         save_density_csv(grid, fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
 def _cmd_cubature(args):
     rule = sphere_product_rule(args.n, args.d)
-    fh, close = _open_out(args.csv)
-    try:
+    with _output(args.csv) as fh:
         save_rule_csv(rule, fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 

@@ -183,14 +183,8 @@ def cubature_lower_bound(f, n, r, node_budget=5_000_000):
     return float(f.eval_many(rule.nodes).min())
 
 
-def save_rule_csv(rule, fh, fmt="%.17g"):
+def save_rule_csv(rule, fh):
     """Write rule nodes and weights as CSV: x1,...,xn,weight."""
-    if rule.domain == "interval":
-        header = "x1,weight"
-        rows = np.column_stack([rule.nodes, rule.weights])
-    else:
-        header = ",".join(f"x{i + 1}" for i in range(rule.dim)) + ",weight"
-        rows = np.column_stack([rule.nodes, rule.weights])
-    fh.write(header + "\n")
-    for row in rows:
-        fh.write(",".join(fmt % v for v in row) + "\n")
+    fh.write(",".join(f"x{i + 1}" for i in range(rule.dim)) + ",weight\n")
+    for row in np.column_stack([rule.nodes, rule.weights]):
+        fh.write(",".join("%.17g" % v for v in row) + "\n")

@@ -47,11 +47,11 @@ class RateFit:
     residual: float
 
 
-def sweep(f, n, r_lo, r_hi, certificates=True, dps=None, node_budget=5_000_000):
+def sweep(f, n, r_lo, r_hi, certificates=True, dps=None):
     """Upper bounds (and cubature certificates) for each level in r_lo..r_hi.
 
     Certificates are skipped when the product rule would exceed the node
-    budget.
+    budget of cubature_lower_bound.
     """
     if r_lo > r_hi:
         raise ValueError("empty level range")
@@ -62,7 +62,7 @@ def sweep(f, n, r_lo, r_hi, certificates=True, dps=None, node_budget=5_000_000):
         lower = None
         if certificates:
             try:
-                lower = cubature_lower_bound(f, n, r, node_budget=node_budget)
+                lower = cubature_lower_bound(f, n, r)
             except ValueError:
                 lower = None
         elapsed = (time.perf_counter() - start) * 1000.0
@@ -110,10 +110,10 @@ def fit_rate(records, f_ref, r_window=None):
                    residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def hessian_norm_bound(f, n, samples=10_000, seed=1):
-    """Largest sampled spectral norm of the Hessian of f on the sphere."""
+def hessian_norm_bound(f, n):
+    """Largest spectral norm of the Hessian of f on 10,000 sphere samples."""
     grads = f.gradient()
-    X = sphere_points(samples, n, seed=seed)
+    X = sphere_points(10_000, n, seed=1)
     H = np.empty((len(X), n, n))
     for i in range(n):
         row = grads[i].gradient()
@@ -147,12 +147,12 @@ def linearize_at(f, a, c_f=None):
     return Polynomial(n, terms)
 
 
-def rotate_linear(c, n=None):
+def rotate_linear(c):
     """Orthogonal matrix U with U c = e1 (Householder reflection)."""
     c = np.asarray(c, dtype=float)
-    n = len(c) if n is None else int(n)
-    if c.shape != (n,):
-        raise ValueError(f"vector has shape {c.shape}, expected ({n},)")
+    if c.ndim != 1:
+        raise ValueError(f"vector has shape {c.shape}, expected a 1-D vector")
+    n = len(c)
     if abs(np.linalg.norm(c) - 1.0) > 1e-12:
         raise ValueError("rotate_linear expects a unit vector")
     e1 = np.zeros(n)
@@ -164,14 +164,14 @@ def rotate_linear(c, n=None):
     return np.eye(n) - 2.0 * np.outer(v, v) / vv
 
 
-def reproduce_table1(tol=TABLE1_TOLERANCE, certificates=False):
+def reproduce_table1(tol=TABLE1_TOLERANCE):
     """Recompute the published Motzkin bounds for levels 0..9.
 
     Returns (records, diffs, ok) where diffs[r] = computed - reference and
     ok means every deviation is within tol.
     """
     records = sweep(motzkin_form(), 3, 0, len(TABLE1_REFERENCE) - 1,
-                    certificates=certificates)
+                    certificates=False)
     diffs = [rec.bound - ref for rec, ref in zip(records, TABLE1_REFERENCE)]
     ok = all(abs(d) <= tol for d in diffs)
     return records, diffs, ok
@@ -204,8 +204,8 @@ def load_sweep_csv(fh):
     return records
 
 
-def save_density_csv(grid, fh, fmt="%.12g"):
+def save_density_csv(grid, fh):
     """Write a density grid as CSV: theta,phi,h (row-major, theta slowest)."""
     fh.write("theta,phi,h\n")
     for row in np.asarray(grid):
-        fh.write(",".join(fmt % v for v in row) + "\n")
+        fh.write(",".join("%.12g" % v for v in row) + "\n")

@@ -97,6 +97,16 @@ class TestUpperBound:
         assert res.degenerate
         c = res.coeffs
         assert c[0] == 1.0 and np.all(c[1:] == 0.0)
+        # constants go through the same solve and honour dps: at r = 24 the
+        # float Gram matrix is indefinite, so only the dps solve succeeds
+        for f, value in [(Polynomial.constant(2, 1.0), 1.0), (Polynomial(2, {}), 0.0)]:
+            with pytest.raises(ConditioningError):
+                upper_bound(f, 2, 24)
+            res = upper_bound(f, 2, 24, dps=60)
+            assert res.value == value
+            assert res.degenerate
+            assert res.coeffs[0] == 1.0 and np.all(res.coeffs[1:] == 0.0)
+            assert res.condition_number == math.inf and res.condition_warning
 
     def test_input_validation(self):
         f = parse_poly("x1", 2)
@@ -344,3 +354,133 @@ class TestRational:
         payload = res.to_json_dict()
         assert set(payload) == {"n", "r", "value", "basis_size", "condition_number",
                                 "condition_warning", "degenerate", "coeffs"}
+
+
+def _parity_components_reference(elements, shifts):
+    """Reference block split: union-find over parity classes, then sorted."""
+    class_ids = {}
+    members = []
+    for i, a in enumerate(elements):
+        p = tuple(e & 1 for e in a)
+        j = class_ids.setdefault(p, len(members))
+        if j == len(members):
+            members.append([])
+        members[j].append(i)
+    parent = list(range(len(members)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in shifts:
+        gp = tuple(e & 1 for e in g)
+        for p, j in class_ids.items():
+            q = tuple((a + b) & 1 for a, b in zip(p, gp))
+            k = class_ids.get(q)
+            if k is not None:
+                rj, rk = find(j), find(k)
+                if rj != rk:
+                    parent[rk] = rj
+    groups = {}
+    for j, idx in enumerate(members):
+        groups.setdefault(find(j), []).extend(idx)
+    comps = [np.array(sorted(g), dtype=np.intp) for g in groups.values()]
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
+def _grid_local_maxima_reference(grid, resolution):
+    """Reference maxima: rolled neighbors with inf padding, sorted as tuples."""
+    resolution = int(resolution)
+    H = np.asarray(grid)[:, 2].reshape(resolution + 1, resolution + 1)
+    core = H[:, :resolution]
+    strict = np.ones_like(core, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            shifted = np.roll(core, -dj, axis=1)
+            if di == -1:
+                neighbor = np.vstack([np.full((1, resolution), np.inf), shifted[:-1]])
+            elif di == 1:
+                neighbor = np.vstack([shifted[1:], np.full((1, resolution), np.inf)])
+            else:
+                neighbor = shifted
+            strict &= core > neighbor
+    strict[0, :] = False
+    strict[resolution, :] = False
+    out = []
+    theta = np.asarray(grid)[:, 0].reshape(resolution + 1, resolution + 1)
+    phi = np.asarray(grid)[:, 1].reshape(resolution + 1, resolution + 1)
+    for i, j in zip(*np.nonzero(strict)):
+        out.append((theta[i, j], phi[i, j], core[i, j]))
+    out.sort(key=lambda row: -row[2])
+    return np.array(out) if out else np.empty((0, 3))
+
+
+def _same_blocks(got, ref):
+    return len(got) == len(ref) and all(
+        g.dtype == r.dtype and np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_parity_split_on_random_shifts(self, n):
+        rng = np.random.default_rng(300 + n)
+        joined = 0
+        for r in range(0, 5):
+            elements = sphere_basis(n, r).elements
+            for _ in range(12):
+                num = [tuple(int(v) for v in rng.integers(0, 3, size=n))
+                       for _ in range(rng.integers(0, 4))]
+                den = [tuple(int(v) for v in rng.integers(0, 2, size=n))
+                       for _ in range(rng.integers(1, 3))]
+                got = bounds._parity_components(elements, num + den)
+                assert _same_blocks(got, _parity_components_reference(elements, num + den))
+                joined += len(got) < len({tuple(e & 1 for e in a) for a in elements})
+        assert joined > 0
+
+    def test_parity_split_on_random_element_sets(self):
+        # arbitrary exponent lists, out of order, leave many parity classes absent
+        rng = np.random.default_rng(307)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            elements = [tuple(int(v) for v in row)
+                        for row in rng.integers(0, 4, size=(int(rng.integers(0, 30)), n))]
+            shifts = [tuple(int(v) for v in rng.integers(0, 2, size=n))
+                      for _ in range(rng.integers(0, 4))]
+            assert _same_blocks(bounds._parity_components(elements, shifts),
+                                _parity_components_reference(elements, shifts))
+
+    def test_parity_split_through_absent_class(self):
+        # classes joined only by a path through a parity class the basis lacks
+        elements = sphere_basis(5, 2).elements
+        shifts = [(1, 1, 1, 0, 0), (1, 1, 0, 1, 0)]
+        got = bounds._parity_components(elements, shifts)
+        assert _same_blocks(got, _parity_components_reference(elements, shifts))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_grid_maxima_on_random_grids(self, ties):
+        rng = np.random.default_rng(311 + ties)
+        found = 0
+        for res in range(1, 31):
+            theta = np.linspace(0.0, np.pi, res + 1)
+            phi = np.linspace(0.0, 2.0 * np.pi, res + 1)
+            T, P = np.meshgrid(theta, phi, indexing="ij")
+            size = (res + 1) ** 2
+            h = rng.integers(0, 5, size=size).astype(float) if ties else rng.random(size)
+            grid = np.column_stack([T.ravel(), P.ravel(), h])
+            got = grid_local_maxima(grid, res)
+            ref = _grid_local_maxima_reference(grid, res)
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+            found += len(got)
+        assert found > 0
+
+    def test_grid_maxima_on_a_density(self):
+        den = extract_density(upper_bound(motzkin_form(), 3, 9))
+        for res in (1, 2, 7, 30):
+            grid = density_grid(den, 3, resolution=res)
+            assert np.array_equal(grid_local_maxima(grid, res),
+                                  _grid_local_maxima_reference(grid, res))

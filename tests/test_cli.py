@@ -83,6 +83,17 @@ class TestBoundCommand:
         assert info.value.code == 2
 
 
+def test_stdout_stays_open_between_commands(capsys):
+    # stdout output is not closed after a subcommand, so a second one can write
+    assert main(["bound", "--poly", "x1", "--n", "2", "--r", "1"]) == 0
+    assert main(["cubature", "--n", "2", "--d", "2"]) == 0
+    assert not sys.stdout.closed
+    out = capsys.readouterr().out
+    end = out.index("}\n") + 2
+    assert json.loads(out[:end])["n"] == 2
+    assert out[end:].split("\n")[0] == "x1,x2,weight"
+
+
 class TestRationalCommand:
     def test_basic(self, capsys):
         code = main(["rational", "--p", "x1", "--q", "2 + x1", "--n", "2",

@@ -235,3 +235,13 @@ class TestExport:
         row = np.array([float(v) for v in lines[1].split(",")])
         assert_allclose(row[:3], np.asarray(rule.nodes)[0], rtol=1e-16)
         assert_allclose(row[3], np.asarray(rule.weights)[0], rtol=1e-16)
+
+    def test_interval_rule_layout(self):
+        rule = gauss_rule(0.5, 4)
+        buf = io.StringIO()
+        save_rule_csv(rule, buf)
+        lines = buf.getvalue().strip().split("\n")
+        assert lines[0] == "x1,weight"
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert rows.shape == (4, 2)
+        assert np.array_equal(rows, np.column_stack([rule.nodes, rule.weights]))

@@ -166,6 +166,8 @@ class TestRotateLinear:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             rotate_linear(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            rotate_linear(np.eye(2))
 
 
 class TestCsv:
