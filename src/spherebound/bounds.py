@@ -19,12 +19,14 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpocon, dpotrf
 
 from .basis import BasisSpec, gram_matrix_fraction, moment_matrix, sphere_basis
 from .polynomials import Polynomial
 from .sampling import sphere_points
 
-# condition number of B (the Gram matrix, or A_q) beyond which results carry a warning
+# 1-norm condition number of B (the Gram matrix, or A_q), as LAPACK dpocon
+# estimates it from the Cholesky factor, beyond which results carry a warning
 COND_LIMIT = 1e12
 # eigenvalue gap under which the smallest eigenvalue is flagged as multiple
 GAP_TOL = 1e-10
@@ -46,9 +48,10 @@ class BoundResult:
     Gram matrix, or A_q for rational bounds); degenerate marks a smallest
     eigenvalue with gap below GAP_TOL, where the density is non-unique and
     the reported one is the solver's canonical choice.  condition_number is
-    that of the float64 constraint matrix even when dps is set (inf when
-    float64 finds it indefinite), so a condition_warning on a dps result
-    means that float64 alone would not have been enough.
+    a LAPACK dpocon estimate of the 1-norm condition of the float64
+    constraint matrix, taken from its Cholesky factor, even when dps is set
+    (inf when that factorization fails), so a condition_warning on a dps
+    result means that float64 alone would not have been enough.
     """
 
     n: int
@@ -159,14 +162,20 @@ def _unit(n):
 
 
 def _solve_block(A, B, r):
-    """Two smallest eigenpairs of A v = lambda B v for a positive definite B."""
+    """Two smallest eigenpairs of A v = lambda B v for a positive definite B.
+
+    A and B must be exactly symmetric and are overwritten: their transposes
+    are the Fortran-ordered arrays LAPACK works in, so neither is copied.
+    """
     m = len(B)
     hi = min(1, m - 1)
     try:
-        w, V = scipy.linalg.eigh(A, B, subset_by_index=[0, hi])
+        w, V = scipy.linalg.eigh(A.T, B.T, subset_by_index=[0, hi],
+                                 overwrite_a=True, overwrite_b=True)
     except scipy.linalg.LinAlgError as exc:
+        # B has already factored, so this is the eigensolver not converging
         raise ConditioningError(
-            f"Cholesky reduction failed at level r={r}: {exc}; retry with dps set"
+            f"generalized eigensolve failed at level r={r}: {exc}; retry with dps set"
         ) from exc
     second = float(w[1]) if hi == 1 else None
     return float(w[0]), second, V[:, 0].copy()
@@ -249,35 +258,44 @@ def _pick_winner(results, size):
 def _solve_pencil(num_terms, den_terms, basis, r, dps):
     """Bound from the blockwise smallest eigenpair of the pencil (A_num, A_den).
 
-    The coefficient vector is A_den-normalized and the condition number is
-    that of the float A_den.  In float64 an A_den block that is not
-    numerically positive definite raises ConditioningError; with dps set
-    the exact blocks are solved in extended precision and only the
-    condition number uses the float A_den.
+    The coefficient vector is A_den-normalized.  Each float A_den block is
+    factored once by Cholesky; the condition number is the 1-norm condition
+    of the whole block-diagonal A_den, max ||B_i|| * max ||B_i^-1||, with
+    each ||B_i^-1|| estimated by dpocon from that factor.  In float64 a
+    block that does not factor raises ConditioningError; with dps set the
+    exact blocks are solved in extended precision, only the condition
+    number uses the float A_den, and a block that does not factor makes it
+    infinite.
     """
     n = basis.n
     elements = basis.elements
     E = basis.exponent_array()
     comps = _parity_components(elements, list(num_terms) + list(den_terms))
     results = []
-    bmin, bmax = np.inf, -np.inf
+    # largest ||B_i||_1 and smallest 1 / ||B_i^-1||_1 over the blocks
+    bmax, bmin = 0.0, np.inf
     for comp in comps:
         Ec = E[comp]
         B = _localized_block(den_terms, Ec, n)
-        bw = scipy.linalg.eigh(B, eigvals_only=True)
+        bnorm = float(np.linalg.norm(B, 1))
+        L, info = dpotrf(B.T, lower=1)
+        if info and dps is None:
+            raise ConditioningError(
+                f"B not numerically positive definite at level r={r}: Cholesky "
+                f"of a {len(comp)}x{len(comp)} block failed at leading minor "
+                f"{info}; retry with dps set")
+        # a block that does not factor (dps set) makes the condition infinite
+        rcond = dpocon(L, bnorm, uplo="L")[0] if info == 0 else 0.0
+        del L  # only the estimate needs it; freed before A is assembled
+        bmax = max(bmax, bnorm)
+        bmin = min(bmin, rcond * bnorm)
         if dps is None:
-            if bw[0] <= 0.0:
-                raise ConditioningError(
-                    f"B numerically indefinite at level r={r} "
-                    f"(smallest eigenvalue {bw[0]:.3e}); retry with dps set")
             w0, w1, vec = _solve_block(_localized_block(num_terms, Ec, n), B, r)
         else:
             elems_c = [elements[i] for i in comp]
             w0, w1, vec = _solve_block_hp(
                 _localized_block_fraction(num_terms, elems_c, n),
                 _localized_block_fraction(den_terms, elems_c, n), dps)
-        bmin = min(bmin, float(bw[0]))
-        bmax = max(bmax, float(bw[-1]))
         results.append((w0, w1, vec, comp))
     value, coeffs, gap = _pick_winner(results, len(elements))
     cond = bmax / bmin if bmin > 0 else np.inf

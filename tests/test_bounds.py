@@ -108,6 +108,37 @@ class TestUpperBound:
             assert res.coeffs[0] == 1.0 and np.all(res.coeffs[1:] == 0.0)
             assert res.condition_number == math.inf and res.condition_warning
 
+    def test_one_factorization_and_one_pencil_call_per_block(self, monkeypatch):
+        # B is factored once for the condition estimate; no spectrum of B alone
+        calls = {"dpotrf": 0, "pencil": 0, "single": 0}
+        dpotrf, eigh = bounds.dpotrf, scipy.linalg.eigh
+
+        def counting_dpotrf(*args, **kwargs):
+            calls["dpotrf"] += 1
+            return dpotrf(*args, **kwargs)
+
+        def counting_eigh(a, b=None, *args, **kwargs):
+            calls["single" if b is None else "pencil"] += 1
+            return eigh(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "dpotrf", counting_dpotrf)
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        f = motzkin_form()
+        res = upper_bound(f, 3, 6)
+        blocks = len(bounds._parity_components(res.basis.elements,
+                                               list(f.terms) + [(0, 0, 0)]))
+        assert blocks > 1
+        assert calls == {"dpotrf": blocks, "pencil": blocks, "single": 0}
+
+    def test_eigensolve_failure_passes_on_scipy_message(self, monkeypatch):
+        def failing(a, b=None, *args, **kwargs):
+            raise scipy.linalg.LinAlgError("the eigenvectors failed to converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        with pytest.raises(ConditioningError, match="failed to converge") as info:
+            upper_bound(parse_poly("x1", 2), 2, 3)
+        assert "Cholesky" not in str(info.value)
+
     def test_input_validation(self):
         f = parse_poly("x1", 2)
         with pytest.raises(ValueError):
@@ -150,6 +181,17 @@ class TestCircleClosedForm:
         f = parse_poly("x1", 2)
         assert not upper_bound(f, 2, 12).condition_warning
         assert upper_bound(f, 2, 20).condition_warning
+
+    def test_float_breakdown_levels(self):
+        # float64 Cholesky of the Gram matrix first fails at r = 21 on S^1 and S^2
+        for f, n, fails in [(parse_poly("x1", 2), 2, (21, 22, 23, 24)),
+                            (Polynomial.variable(3, 3), 3, (21, 22, 24))]:
+            assert math.isfinite(upper_bound(f, n, 20).condition_number)
+            for r in fails:
+                with pytest.raises(ConditioningError,
+                                   match=r"(\d+)x\1 block failed at leading minor "
+                                         r"\d+; retry with dps set"):
+                    upper_bound(f, n, r)
 
     def test_gram_breakdown_reported_and_rescued(self):
         f = parse_poly("x1", 2)
@@ -420,6 +462,39 @@ def _grid_local_maxima_reference(grid, resolution):
     return np.array(out) if out else np.empty((0, 3))
 
 
+def _solve_pencil_reference(num_terms, den_terms, basis):
+    """Reference float solve: the full spectrum of each block of B for its
+    2-norm condition, then eigh(A, B) on matrices it leaves untouched.
+
+    Returns (value, coeffs, degenerate, 2-norm condition of B).
+    """
+    n, E = basis.n, basis.exponent_array()
+    comps = bounds._parity_components(basis.elements, list(num_terms) + list(den_terms))
+    results = []
+    bmin, bmax = np.inf, -np.inf
+    for comp in comps:
+        B = bounds._localized_block(den_terms, E[comp], n)
+        bw = scipy.linalg.eigh(B, eigvals_only=True)
+        assert bw[0] > 0.0
+        A = bounds._localized_block(num_terms, E[comp], n)
+        hi = min(1, len(B) - 1)
+        w, V = scipy.linalg.eigh(A, B, subset_by_index=[0, hi])
+        results.append((float(w[0]), float(w[1]) if hi else None, V[:, 0].copy(), comp))
+        bmin = min(bmin, float(bw[0]))
+        bmax = max(bmax, float(bw[-1]))
+    value, coeffs, gap = bounds._pick_winner(results, len(basis))
+    return value, coeffs, bool(gap < bounds.GAP_TOL), bmax / bmin
+
+
+REFERENCE_CASES = {
+    "x5": [(Polynomial.variable(5, 5), None, 5, r) for r in range(4, 13)],
+    "motzkin": [(motzkin_form(), None, 3, r) for r in range(0, 13)],
+    "quartic6": [(Polynomial(6, {tuple(4 * (i == j) for i in range(6)): 1.0
+                                 for j in range(6)}), None, 6, r) for r in range(0, 7)],
+    "ratio": [(parse_poly("x1", 2), parse_poly("2 + x1", 2), 2, r) for r in range(1, 17)],
+}
+
+
 def _same_blocks(got, ref):
     return len(got) == len(ref) and all(
         g.dtype == r.dtype and np.array_equal(g, r) for g, r in zip(got, ref))
@@ -441,6 +516,23 @@ class TestAgainstReferences:
                 assert _same_blocks(got, _parity_components_reference(elements, num + den))
                 joined += len(got) < len({tuple(e & 1 for e in a) for a in elements})
         assert joined > 0
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_pencil_solve_matches_gram_spectrum_reference(self, name):
+        for p, q, n, r in REFERENCE_CASES[name]:
+            if q is None:
+                res = upper_bound(p, n, r)
+                den = bounds._unit(n)
+            else:
+                res = rational_upper_bound(p, q, n, r)
+                den = q.terms
+            value, coeffs, degenerate, cond2 = _solve_pencil_reference(p.terms, den, res.basis)
+            assert res.value == value
+            assert np.array_equal(res.coeffs, coeffs)
+            assert res.degenerate == degenerate
+            # any 1-norm condition lies within a factor m of the 2-norm one
+            m = len(res.basis)
+            assert cond2 / m <= res.condition_number <= m * cond2
 
     def test_parity_split_on_random_element_sets(self):
         # arbitrary exponent lists, out of order, leave many parity classes absent
