@@ -199,39 +199,30 @@ def _solve_block_hp(Afrac, Bfrac, dps):
             raise ConditioningError(
                 f"high-precision Cholesky failed (dps={dps}): {exc}") from exc
         # M = L^{-1} A L^{-T} via two forward substitutions
-        Y = mp.matrix(m)
-        for j in range(m):
-            for i in range(m):
-                s = A[i, j]
-                for k in range(i):
-                    s -= L[i, k] * Y[k, j]
-                Y[i, j] = s / L[i, i]
-        M = mp.matrix(m)
-        for j in range(m):
-            for i in range(m):
-                s = Y[j, i]
-                for k in range(i):
-                    s -= L[i, k] * M[k, j]
-                M[i, j] = s / L[i, i]
-        for i in range(m):
-            for j in range(i):
-                avg = (M[i, j] + M[j, i]) / 2
-                M[i, j] = avg
-                M[j, i] = avg
-        E, Q = mp.eigsy(M)
-        order = sorted(range(m), key=lambda k: E[k])
-        lead = order[0]
-        # back-substitute L^T v = q to recover the pencil eigenvector
-        v = mp.matrix(m, 1)
-        for i in range(m - 1, -1, -1):
-            s = Q[i, lead]
-            for k in range(i + 1, m):
-                s -= L[k, i] * v[k]
-            v[i] = s / L[i, i]
-        w0 = float(E[lead])
-        w1 = float(E[order[1]]) if m > 1 else None
+        M = _lower_solve(L, _lower_solve(L, A).T)
+        E, Q = mp.eigsy((M + M.T) / 2)
+        # eigsy returns the eigenvalues ascending; back-substitute
+        # L^T v = q to recover the pencil eigenvector
+        v = mp.mp.U_solve(L.T, Q[:, 0])
+        w0 = float(E[0])
+        w1 = float(E[1]) if m > 1 else None
         vec = np.array([float(v[i]) for i in range(m)])
     return w0, w1, vec
+
+
+def _lower_solve(L, X):
+    """L^{-1} X for a lower-triangular mpmath L, column by column."""
+    import mpmath as mp
+
+    m, cols = X.rows, X.cols
+    Y = mp.matrix(m, cols)
+    for j in range(cols):
+        for i in range(m):
+            s = X[i, j]
+            for k in range(i):
+                s -= L[i, k] * Y[k, j]
+            Y[i, j] = s / L[i, i]
+    return Y
 
 
 def _pick_winner(results, size):

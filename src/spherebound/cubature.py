@@ -3,18 +3,19 @@
 The product rule combines an equispaced angular grid with Gauss-Gegenbauer
 nodes in generalized spherical coordinates and integrates every polynomial
 of degree at most 2d-1 exactly; that threshold is sharp and is certified by
-tests against the closed-form moments.
+tests against the closed-form moments. Every rule is a QuadratureRule: its
+nodes, its positive weights and its certified exactness degree, nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .moments import MomentOracle, surface_area
-from .orthopoly import gauss_rule, gegenbauer_roots
+from .orthopoly import gauss_rule
 from .polynomials import Polynomial
 
 
@@ -22,17 +23,17 @@ from .polynomials import Polynomial
 class QuadratureRule:
     """Nodes, positive weights, and the certified polynomial exactness degree.
 
-    domain is "interval" (nodes are reals in [-1, 1]), "circle", or "sphere"
-    (nodes are points, one row each); angles carries the generating angles
-    when the rule was built from them.
+    Interval rules have 1-D nodes, reals in [-1, 1]; circle and sphere rules
+    have one point per row of a 2-D nodes array.
     """
 
-    domain: str
-    dim: int
     nodes: np.ndarray
     weights: np.ndarray
     exactness_degree: int
-    angles: np.ndarray | None = field(default=None, compare=False)
+
+    @property
+    def dim(self):
+        return 1 if self.nodes.ndim == 1 else self.nodes.shape[1]
 
     @property
     def size(self):
@@ -43,7 +44,7 @@ class QuadratureRule:
 
     def integrate(self, p):
         """Apply the rule to a polynomial (1 variable for interval rules)."""
-        if self.domain == "interval":
+        if self.dim == 1:
             if p.n != 1:
                 raise ValueError("interval rules integrate univariate polynomials")
             vals = p.eval_many(self.nodes[:, None])
@@ -62,19 +63,18 @@ def circle_rule(d):
     d = int(d)
     if d < 1:
         raise ValueError("need at least one node")
-    angles = 2.0 * math.pi * np.arange(d) / d
-    nodes = np.column_stack([np.cos(angles), np.sin(angles)])
+    theta = 2.0 * math.pi * np.arange(d) / d
+    nodes = np.column_stack([np.cos(theta), np.sin(theta)])
     weights = np.full(d, 1.0 / d)
-    return QuadratureRule(domain="circle", dim=2, nodes=nodes, weights=weights,
-                          exactness_degree=d - 1, angles=angles)
+    return QuadratureRule(nodes=nodes, weights=weights, exactness_degree=d - 1)
 
 
 def sphere_product_rule(n, d):
     """Product cubature on S^{n-1}, exact for polynomials of degree <= 2d-1.
 
-    Uses the 2d-point equispaced grid in the first angle and d-point
-    Gauss-Gegenbauer angles (index (i-1)/2) in the remaining ones; node
-    count is 2d * d^(n-2) and the weights sum to surface_area(n).
+    Uses the 2d-point equispaced grid in the first angle and the arccosines
+    of d-point Gauss-Gegenbauer nodes (index (i-1)/2) in the remaining ones;
+    node count is 2d * d^(n-2) and the weights sum to surface_area(n).
     """
     n = int(n)
     d = int(d)
@@ -84,9 +84,9 @@ def sphere_product_rule(n, d):
         raise ValueError("parameter d must be at least 1")
     if n == 2:
         base = circle_rule(2 * d)
-        return QuadratureRule(domain="sphere", dim=2, nodes=base.nodes,
+        return QuadratureRule(nodes=base.nodes,
                               weights=base.weights * surface_area(2),
-                              exactness_degree=2 * d - 1, angles=base.angles)
+                              exactness_degree=2 * d - 1)
     theta1 = math.pi * np.arange(2 * d) / d
     angle_grids = [theta1]
     weight_grids = [np.full(2 * d, math.pi / d)]
@@ -94,17 +94,16 @@ def sphere_product_rule(n, d):
         g = gauss_rule((i - 1) / 2.0, d)
         angle_grids.append(np.arccos(g.nodes[::-1]))
         weight_grids.append(g.weights[::-1])
-    # open meshes (np.ix_) broadcast over the ij-ordered grid of angles,
-    # whose flattening gives the node order, first angle slowest; the trig
+    # open meshes (np.ix_) broadcast over the ij-ordered product grid, whose
+    # flattening gives the node order, first angle slowest; the trig
     # functions run on the 1-D grids only
     k = n - 1
-    angles = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
     cos = np.ix_(*[np.cos(t) for t in angle_grids])
     sin = np.ix_(*[np.sin(t) for t in angle_grids])
     # generalized spherical coordinates: x_n = cos t_{n-1},
     # x_j = cos t_{j-1} * prod_{i>=j} sin t_i for 1 < j < n, x_1 = prod sin t_i,
     # with the sines multiplied in from the last angle down
-    nodes = np.empty(angles.shape[:-1] + (n,))
+    nodes = np.empty(tuple(len(t) for t in angle_grids) + (n,))
     nodes[..., k] = cos[k - 1]
     suffix = 1.0
     for j in range(k - 1, 0, -1):
@@ -116,9 +115,8 @@ def sphere_product_rule(n, d):
         weights = weights * w
     weights = weights.reshape(-1)
     weights *= surface_area(n) / weights.sum()
-    return QuadratureRule(domain="sphere", dim=n, nodes=nodes.reshape(-1, n),
-                          weights=weights, exactness_degree=2 * d - 1,
-                          angles=angles.reshape(-1, k))
+    return QuadratureRule(nodes=nodes.reshape(-1, n), weights=weights,
+                          exactness_degree=2 * d - 1)
 
 
 def max_exactness_error(rule, oracle=None):
@@ -127,7 +125,7 @@ def max_exactness_error(rule, oracle=None):
     Compares rule sums against (total mass) * normalized moment; relative
     error where the moment is nonzero, absolute otherwise.
     """
-    if rule.domain == "interval":
+    if rule.dim == 1:
         raise ValueError("use interval_moment directly for interval rules")
     n = rule.dim
     oracle = oracle or MomentOracle(n)

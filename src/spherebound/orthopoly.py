@@ -42,14 +42,10 @@ class TridiagonalMatrix:
     offdiag: np.ndarray
 
     def eigenvalues(self):
-        if len(self.diag) == 1:
-            return self.diag.copy()
         return eigh_tridiagonal(self.diag, self.offdiag, eigvals_only=True)
 
     def eigen_system(self):
         """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-        if len(self.diag) == 1:
-            return self.diag.copy(), np.ones((1, 1))
         return eigh_tridiagonal(self.diag, self.offdiag)
 
 
@@ -97,5 +93,4 @@ def gauss_rule(lam, d):
     J = jacobi_matrix(JacobiParams.gegenbauer(lam), d)
     nodes, vecs = J.eigen_system()
     weights = vecs[0, :] ** 2 * ball_constant(1, lam)
-    return QuadratureRule(domain="interval", dim=1, nodes=nodes,
-                          weights=weights, exactness_degree=2 * d - 1)
+    return QuadratureRule(nodes=nodes, weights=weights, exactness_degree=2 * d - 1)

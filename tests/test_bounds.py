@@ -486,6 +486,57 @@ def _solve_pencil_reference(num_terms, den_terms, basis):
     return value, coeffs, bool(gap < bounds.GAP_TOL), bmax / bmin
 
 
+def _solve_block_hp_reference(Afrac, Bfrac, dps):
+    """Reference extended-precision block solve: explicit loops for both
+    substitutions, the symmetrization and the back-substitution, and the
+    eigenvalues sorted after mp.eigsy."""
+    import mpmath as mp
+
+    m = len(Bfrac)
+    with mp.workdps(dps):
+        A = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row] for row in Afrac])
+        B = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row] for row in Bfrac])
+        L = mp.cholesky(B)
+        Y = mp.matrix(m)
+        for j in range(m):
+            for i in range(m):
+                s = A[i, j]
+                for k in range(i):
+                    s -= L[i, k] * Y[k, j]
+                Y[i, j] = s / L[i, i]
+        M = mp.matrix(m)
+        for j in range(m):
+            for i in range(m):
+                s = Y[j, i]
+                for k in range(i):
+                    s -= L[i, k] * M[k, j]
+                M[i, j] = s / L[i, i]
+        for i in range(m):
+            for j in range(i):
+                avg = (M[i, j] + M[j, i]) / 2
+                M[i, j] = avg
+                M[j, i] = avg
+        E, Q = mp.eigsy(M)
+        order = sorted(range(m), key=lambda k: E[k])
+        v = mp.matrix(m, 1)
+        for i in range(m - 1, -1, -1):
+            s = Q[i, order[0]]
+            for k in range(i + 1, m):
+                s -= L[k, i] * v[k]
+            v[i] = s / L[i, i]
+        return (float(E[order[0]]), float(E[order[1]]) if m > 1 else None,
+                np.array([float(v[i]) for i in range(m)]))
+
+
+HP_REFERENCE_CASES = [
+    (Polynomial.variable(2, 1), None, 2, 6, 60),
+    (motzkin_form(), None, 3, 2, 30),
+    (parse_poly("x1", 2), parse_poly("2 + x1", 2), 2, 3, 40),
+    (parse_poly("x3", 3), None, 3, 3, 40),
+    (parse_poly("0.3*x1^2*x2 - 1.7*x2*x3 + 0.25*x3^2 + 2*x1", 3), None, 3, 2, 35),
+]
+
+
 REFERENCE_CASES = {
     "x5": [(Polynomial.variable(5, 5), None, 5, r) for r in range(4, 13)],
     "motzkin": [(motzkin_form(), None, 3, r) for r in range(0, 13)],
@@ -533,6 +584,19 @@ class TestAgainstReferences:
             # any 1-norm condition lies within a factor m of the 2-norm one
             m = len(res.basis)
             assert cond2 / m <= res.condition_number <= m * cond2
+
+    @pytest.mark.parametrize("p, q, n, r, dps", HP_REFERENCE_CASES)
+    def test_hp_block_solve_matches_loop_reference(self, p, q, n, r, dps):
+        den = bounds._unit(n) if q is None else q.terms
+        elements = sphere_basis(n, r).elements
+        for comp in bounds._parity_components(elements, list(p.terms) + list(den)):
+            elems = [elements[i] for i in comp]
+            Afrac = bounds._localized_block_fraction(p.terms, elems, n)
+            Bfrac = bounds._localized_block_fraction(den, elems, n)
+            w0, w1, vec = bounds._solve_block_hp(Afrac, Bfrac, dps)
+            ref0, ref1, ref_vec = _solve_block_hp_reference(Afrac, Bfrac, dps)
+            assert (w0, w1) == (ref0, ref1)
+            assert np.array_equal(vec, ref_vec)
 
     def test_parity_split_on_random_element_sets(self):
         # arbitrary exponent lists, out of order, leave many parity classes absent

@@ -1,7 +1,9 @@
 """Circle and product sphere rules, exactness, and certified lower bounds."""
 
+import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from spherebound import (JacobiParams, MomentOracle, circle_rule,
                          max_exactness_error, motzkin_form, parse_poly,
                          save_rule_csv, smallest_root, sphere_product_rule,
                          surface_area, upper_bound)
-from spherebound.cubature import select_rule_degree
+from spherebound.cubature import QuadratureRule, select_rule_degree
 from spherebound.orthopoly import gauss_rule
 
 
@@ -25,13 +27,14 @@ class TestCircleRule:
 
     def test_equal_weights_on_uniform_grid(self):
         rule = circle_rule(8)
+        ang = 2 * math.pi * np.arange(8) / 8
         assert_allclose(rule.weights, np.full(8, 1 / 8), rtol=0, atol=0)
-        assert_allclose(rule.angles, 2 * math.pi * np.arange(8) / 8)
+        assert_allclose(rule.nodes, np.column_stack([np.cos(ang), np.sin(ang)]))
 
     def test_trig_exactness_below_node_count(self):
         for d in (3, 8, 13):
             rule = circle_rule(d)
-            w, ang = np.asarray(rule.weights), np.asarray(rule.angles)
+            w, ang = np.asarray(rule.weights), 2 * math.pi * np.arange(d) / d
             assert rule.exactness_degree == d - 1
             for k in range(1, d):
                 assert abs(float(w @ np.cos(k * ang))) <= 1e-13
@@ -42,7 +45,7 @@ class TestCircleRule:
         # the d-point grid aliases cos(d theta) to 1 but kills sin(d theta)
         for d in (5, 8):
             rule = circle_rule(d)
-            w, ang = np.asarray(rule.weights), np.asarray(rule.angles)
+            w, ang = np.asarray(rule.weights), 2 * math.pi * np.arange(d) / d
             assert_allclose(float(w @ np.cos(d * ang)), 1.0, rtol=1e-12)
             assert abs(float(w @ np.sin(d * ang))) <= 1e-13
 
@@ -52,6 +55,32 @@ class TestCircleRule:
             rule = circle_rule(d)
             vals = np.asarray(rule.nodes)[:, 0]
             assert_allclose(vals.min(), math.cos(2 * math.pi * r / d), rtol=1e-14)
+
+
+class TestQuadratureRule:
+    def test_fields_are_nodes_weights_and_degree(self):
+        names = [f.name for f in dataclasses.fields(QuadratureRule)]
+        assert names == ["nodes", "weights", "exactness_degree"]
+
+    def test_dim_read_from_nodes(self):
+        assert gauss_rule(0.5, 3).dim == 1
+        assert circle_rule(5).dim == 2
+        for n in (2, 3, 5):
+            assert sphere_product_rule(n, 2).dim == n
+
+    def test_integrate_interval_rule(self):
+        rule = gauss_rule(0.5, 3)
+        assert_allclose(rule.integrate(parse_poly("x1^4 + 1", 1)), 2 / 5 + 2, rtol=1e-14)
+        with pytest.raises(ValueError, match="univariate"):
+            rule.integrate(parse_poly("x1*x2", 2))
+        with pytest.raises(ValueError, match="interval"):
+            max_exactness_error(rule)
+
+    def test_integrate_sphere_rule(self):
+        rule = sphere_product_rule(3, 3)
+        p = parse_poly("x1^2*x3^2 + 2", 3)
+        assert_allclose(rule.integrate(p), MomentOracle(3).integrate(p) * surface_area(3),
+                        rtol=1e-13)
 
 
 class TestSphereProductRule:
@@ -121,7 +150,7 @@ def _sphere_product_rule_reference(n, d):
     sphere_product_rule replaced with 1-D trigonometry and broadcasting."""
     if n == 2:
         base = circle_rule(2 * d)
-        return base.nodes, base.weights * surface_area(2), base.angles
+        return base.nodes, base.weights * surface_area(2)
     angle_grids = [math.pi * np.arange(2 * d) / d]
     weight_grids = [np.full(2 * d, math.pi / d)]
     for i in range(2, n):
@@ -134,18 +163,29 @@ def _sphere_product_rule_reference(n, d):
     for w in np.meshgrid(*weight_grids, indexing="ij"):
         weights = weights * w.ravel()
     weights *= surface_area(n) / weights.sum()
-    return _angles_to_points_reference(angles), weights, angles
+    return _angles_to_points_reference(angles), weights
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("d", [1, 2, 5, 12])
 def test_product_rule_bit_identical_to_meshgrid_reference(n, d):
     rule = sphere_product_rule(n, d)
-    nodes, weights, angles = _sphere_product_rule_reference(n, d)
+    nodes, weights = _sphere_product_rule_reference(n, d)
     assert rule.nodes.shape == (2 * d ** (n - 1), n)
     assert np.array_equal(rule.nodes, nodes)
     assert np.array_equal(rule.weights, weights)
-    assert np.array_equal(rule.angles, angles)
+
+
+def test_product_rule_peak_memory_is_its_output():
+    # no full grid of angles or other node-sized temporaries beyond a
+    # quarter of the returned arrays
+    tracemalloc.start()
+    try:
+        rule = sphere_product_rule(6, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (rule.nodes.nbytes + rule.weights.nbytes)
 
 
 def _exact_degree(n, deg):

@@ -152,6 +152,15 @@ class TestGaussRule:
 
 
 class TestTridiagonal:
+    def test_order_one_is_its_diagonal(self):
+        rng = np.random.default_rng(5)
+        for a, b in rng.uniform(-0.99, 5.0, size=(50, 2)):
+            T = jacobi_matrix(JacobiParams(a, b), 1)
+            w, V = T.eigen_system()
+            assert np.array_equal(T.eigenvalues(), T.diag)
+            assert np.array_equal(w, T.diag)
+            assert np.array_equal(V, [[1.0]])
+
     def test_matches_dense_eigenvalues(self):
         rng = np.random.default_rng(4)
         d = rng.uniform(-1, 1, size=9)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_poly, random_sphere
@@ -46,6 +48,15 @@ class TestParse:
             assert parse_poly(str(p), 3) == p
         assert parse_poly(str(motzkin_form()), 3) == motzkin_form()
         assert parse_poly(str(Polynomial.zero(2)), 2) == Polynomial.zero(2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+        st.tuples(*[st.integers(0, 6)] * n),
+        st.floats(allow_nan=False, allow_infinity=False).filter(bool), max_size=8))))
+    def test_round_trip_random_terms(self, n_terms):
+        n, terms = n_terms
+        p = Polynomial(n, terms)
+        assert parse_poly(str(p), n) == p
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as info:
