@@ -70,51 +70,128 @@ def _lgamma_tables(n, maxdeg):
     return lg_half, lg_sum, c0
 
 
-def moment_matrix(E1, E2, n, shift=None, chunk=512):
-    """Matrix of normalized moments of x^(a + b + shift) over S^{n-1}.
+def _parity_classes(P):
+    """Index of each row's parity vector among the distinct ones."""
+    cls = np.zeros(len(P), dtype=np.int64)
+    for lo in range(0, P.shape[1], 32):
+        bits = P[:, lo:lo + 32] & 1
+        word = bits @ np.left_shift(1, np.arange(bits.shape[1]))
+        # the class so far and the next 32 parity bits, packed in one int64
+        _, cls = np.unique(np.left_shift(cls, 32) | word, return_inverse=True)
+    return cls.reshape(-1)
 
-    E1, E2 are integer exponent arrays of shapes (m1, n) and (m2, n); the
-    optional shift is a single exponent tuple.  Assembled in row chunks to
-    bound memory at large sizes.
 
-    Entry (i, j) with P = E1[i] + E2[j] + shift is zero if any P_k is odd,
-    else exp(c0 + sum_k lgamma((P_k + 1)/2) - lgamma((|P| + n)/2)).  The
-    sum over k is accumulated coordinate by coordinate, k = 1 first, into one
-    (rows x cols) array, so no (rows x cols x n) tensor is formed.  That is
-    the order in which numpy's add-reduce sums a contiguous axis shorter
-    than 8, so for n <= 7 every entry is bit-identical to the reduction
+def moment_matrix(E1, E2, n, terms=None, chunk=512):
+    """Localized moment matrix sum_g c_g M_g over S^{n-1}, in one call.
+
+    E1, E2 are integer exponent arrays of shapes (m1, n) and (m2, n);
+    terms maps exponent tuples g to coefficients c_g, which are added onto
+    zeros in mapping order, and defaults to {0: 1.0}, the Gram matrix.
+    M_g[i, j] is the normalized moment of x^P, P = E1[i] + E2[j] + g: zero
+    if any P_k is odd, else
+    exp(c0 + sum_k lgamma((P_k + 1)/2) - lgamma((|P| + n)/2)).  The set-up
+    (lgamma tables, codes and parity classes of the rows) is shared by all
+    terms, and rows are assembled in chunks of about chunk * m2 entries to
+    bound memory.
+
+    Where P is even, P_k / 2 = ceil(a_k / 2) + floor(c_k / 2) for a = E1[i]
+    and c = E2[j] + g, so a mixed-radix code of these half-exponents is
+    additive: code(i, j) = cu[i] + cv[j].  A moment table covers the box of
+    half-exponents of the longest prefix of coordinates whose box has at
+    most m1 * m2 cells, and holds the partial log-sums over that prefix,
+    accumulated k = 1 first.  When the prefix covers all n coordinates,
+    c0, lgamma((|P| + n)/2) and exp are folded in as well, so an entry of
+    c_g M_g is one gather from the table times c_g.  Otherwise the
+    remaining coordinates are gathered and added one by one, all n of them
+    when not even the first fits.  Odd entries need no mask: rows and
+    columns fall into parity classes, and each class shifts the codes so
+    that a row and a column of different classes meet outside the table,
+    where a clipped gather reads a padding cell that makes the entry zero.
+
+    Every entry thus goes through the same floating-point operations in the
+    same order as a coordinate-by-coordinate sum followed by the sum over
+    terms.  That is the order in which numpy's add-reduce sums a
+    contiguous axis shorter than 8, so for n <= 7 every M_g entry is
+    bit-identical to the reduction
     c0 + lgamma_half[P].sum(axis=-1) - lgamma_sum[|P|]; for n >= 8 numpy
     sums in 8-way blocks and the two may differ in the last bit.
     """
     E1 = np.asarray(E1, dtype=np.int64)
     E2 = np.asarray(E2, dtype=np.int64)
-    g = np.zeros(n, dtype=np.int64) if shift is None else np.asarray(shift, dtype=np.int64)
-    C = E2 + g
-    d1 = E1.sum(axis=1)
-    d2 = C.sum(axis=1)
-    maxdeg = int(d1.max(initial=0) + d2.max(initial=0))
-    lg_half, lg_sum, c0 = _lgamma_tables(n, maxdeg)
-    # P has an odd coordinate iff the parity vectors of its two summands
-    # differ; each vector is packed into one 64-bit code per 64 coordinates
-    k = np.arange(n)
-    weight = np.zeros((n, (n + 63) // 64), dtype=np.int64)
-    weight[k, k // 64] = np.left_shift(1, k % 64)
-    par1 = (E1 & 1) @ weight
-    par2 = (C & 1) @ weight
+    if terms is None:
+        terms = {(0,) * n: 1.0}
     m1, m2 = len(E1), len(E2)
-    out = np.empty((m1, m2))
-    for lo in range(0, m1, chunk):
-        hi = min(lo + chunk, m1)
-        acc = lg_half[np.add.outer(E1[lo:hi, 0], C[:, 0])]
-        for i in range(1, n):
-            acc += lg_half[np.add.outer(E1[lo:hi, i], C[:, i])]
+    out = np.zeros((m1, m2))
+    if not (m1 and m2 and terms):
+        return out
+    coeffs = np.array(list(terms.values()), dtype=float)
+    # C[t] = E2 + g_t, the column exponents of term t
+    C = E2 + np.array(list(terms), dtype=np.int64).reshape(-1, 1, n)
+    U = (E1 + 1) >> 1
+    V = C >> 1
+    # radix[k] - 1 is the largest half-exponent sum in coordinate k
+    radix = (U.max(axis=0) + V.max(axis=(0, 1)) + 1).tolist()
+    prefix, box = 0, 1
+    while prefix < n and box * radix[prefix] <= m1 * m2:
+        box *= radix[prefix]
+        prefix += 1
+    full = prefix == n
+    # every index into them is below 2 * sum(radix); a power of two keeps
+    # the number of cached table sizes small
+    lg_half, lg_sum, c0 = _lgamma_tables(n, 1 << (2 * sum(radix)).bit_length())
+    # partial sums over the prefix from an empty sum of 0.0 (exact: no
+    # lg_half entry is -0.0); each coordinate is a slower digit of the
+    # code than the ones before it
+    table = np.zeros(1)
+    half_sum = np.zeros(1, dtype=np.int64)
+    cu = np.zeros(m1, dtype=np.int64)
+    cv = np.zeros(C.shape[:2], dtype=np.int64)
+    for k in range(prefix):
+        cu += U[:, k] * len(table)
+        cv += V[:, :, k] * len(table)
+        table = np.add.outer(lg_half[0:2 * radix[k]:2], table).ravel()
+        if full:
+            half_sum = np.add.outer(np.arange(radix[k]), half_sum).ravel()
+    if full:
+        table += c0
+        table -= lg_sum[0::2][half_sum]
+        np.exp(table, out=table)
+    # classes lie box + 1 apart, so a code that pairs two classes is below
+    # 0 or above box + 1 and is clipped onto a padding cell: 0.0, or -inf
+    # where exp is still to come
+    pad = 0.0 if full else -np.inf
+    table = np.concatenate([[pad], table, [pad]])
+    cls = _parity_classes(np.concatenate([E1, C.reshape(-1, n)])) * (box + 1)
+    cu += 1 + cls[:m1]
+    cv -= cls[m1:].reshape(cv.shape)
+    if full:
+        # per term, one gather from the table times c_g; the first term
+        # lands in out directly, its + 0.0 being the zero the sum starts
+        # from (1.0 * table + 0.0 is the table itself)
+        for t, c in enumerate(coeffs):
+            scaled = table if c == 1.0 else table * c + 0.0
+            for lo in range(0, m1, chunk):
+                code = cu[lo:lo + chunk, None] + cv[t]
+                if t:
+                    out[lo:lo + chunk] += np.take(scaled, code, mode="clip")
+                else:
+                    np.take(scaled, code, mode="clip", out=out[lo:lo + chunk])
+        return out
+    # all terms at once, so the chunks hold fewer rows
+    rows = max(1, chunk // len(coeffs))
+    d2 = C.sum(axis=2)[:, None, :]
+    for lo in range(0, m1, rows):
+        hi = min(lo + rows, m1)
+        acc = np.take(table, cu[lo:hi, None] + cv[:, None, :], mode="clip")
+        for k in range(prefix, n):
+            acc += lg_half[E1[lo:hi, k][:, None] + C[:, None, :, k]]
         acc += c0
-        acc -= lg_sum[np.add.outer(d1[lo:hi], d2)]
-        block = np.exp(acc, out=out[lo:hi])
-        odd = np.not_equal.outer(par1[lo:hi, 0], par2[:, 0])
-        for w in range(1, weight.shape[1]):
-            odd |= np.not_equal.outer(par1[lo:hi, w], par2[:, w])
-        block[odd] = 0.0
+        acc -= lg_sum[E1[lo:hi].sum(axis=1)[:, None] + d2]
+        np.exp(acc, out=acc)
+        acc *= coeffs[:, None, None]
+        block = out[lo:hi]
+        for term in acc:
+            block += term
     return out
 
 

@@ -14,7 +14,7 @@ eigenvalue unchanged and keeps large levels tractable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -126,16 +126,8 @@ def _parity_components(elements, shifts):
     return comps
 
 
-def _localized_block(terms, E, n):
-    """Float localized block sum_g c_g M_g over exponent rows E."""
-    A = np.zeros((len(E), len(E)))
-    for gamma, c in terms.items():
-        A += c * moment_matrix(E, E, n, shift=gamma)
-    return A
-
-
 def _localized_block_fraction(terms, elements, n):
-    """Exact analogue of _localized_block over the listed exponent tuples."""
+    """Exact localized block sum_g c_g M_g over the listed exponent tuples."""
     m = len(elements)
     A = [[Fraction(0)] * m for _ in range(m)]
     for gamma, c in terms.items():
@@ -152,8 +144,8 @@ def build_pencil(f, basis):
     if f.n != basis.n:
         raise ValueError(f"polynomial dimension {f.n}, basis dimension {basis.n}")
     E = basis.exponent_array()
-    return Pencil(A=_localized_block(f.terms, E, basis.n),
-                  B=_localized_block(_unit(basis.n), E, basis.n), basis=basis)
+    return Pencil(A=moment_matrix(E, E, basis.n, terms=f.terms),
+                  B=moment_matrix(E, E, basis.n), basis=basis)
 
 
 def _unit(n):
@@ -246,28 +238,17 @@ def _pick_winner(results, size):
     return lam0, coeffs, gap
 
 
-def _solve_pencil(num_terms, den_terms, basis, r, dps):
-    """Bound from the blockwise smallest eigenpair of the pencil (A_num, A_den).
+def _factored_blocks(den_terms, E, comps, r, dps):
+    """Each block's float A_den, with its 1-norm and reciprocal condition.
 
-    The coefficient vector is A_den-normalized.  Each float A_den block is
-    factored once by Cholesky; the condition number is the 1-norm condition
-    of the whole block-diagonal A_den, max ||B_i|| * max ||B_i^-1||, with
-    each ||B_i^-1|| estimated by dpocon from that factor.  In float64 a
-    block that does not factor raises ConditioningError; with dps set the
-    exact blocks are solved in extended precision, only the condition
-    number uses the float A_den, and a block that does not factor makes it
-    infinite.
+    Each block is factored once by Cholesky, and dpocon estimates the
+    reciprocal 1-norm condition from that factor.  In float64 a block that
+    does not factor raises ConditioningError; with dps set its reciprocal
+    condition is 0.  E holds the basis exponents, one row per element.
+    Yields (comp, A_den block, norm, rcond).
     """
-    n = basis.n
-    elements = basis.elements
-    E = basis.exponent_array()
-    comps = _parity_components(elements, list(num_terms) + list(den_terms))
-    results = []
-    # largest ||B_i||_1 and smallest 1 / ||B_i^-1||_1 over the blocks
-    bmax, bmin = 0.0, np.inf
     for comp in comps:
-        Ec = E[comp]
-        B = _localized_block(den_terms, Ec, n)
+        B = moment_matrix(E[comp], E[comp], E.shape[1], terms=den_terms)
         bnorm = float(np.linalg.norm(B, 1))
         L, info = dpotrf(B.T, lower=1)
         if info and dps is None:
@@ -275,13 +256,44 @@ def _solve_pencil(num_terms, den_terms, basis, r, dps):
                 f"B not numerically positive definite at level r={r}: Cholesky "
                 f"of a {len(comp)}x{len(comp)} block failed at leading minor "
                 f"{info}; retry with dps set")
-        # a block that does not factor (dps set) makes the condition infinite
         rcond = dpocon(L, bnorm, uplo="L")[0] if info == 0 else 0.0
         del L  # only the estimate needs it; freed before A is assembled
-        bmax = max(bmax, bnorm)
-        bmin = min(bmin, rcond * bnorm)
+        yield comp, B, bnorm, rcond
+
+
+def _bound_result(basis, r, value, coeffs, degenerate, norms):
+    """BoundResult with the 1-norm condition of the block-diagonal A_den.
+
+    norms holds each block's (||B_i||, rcond_i); the condition is
+    max ||B_i|| * max ||B_i^-1||, infinite when a block did not factor.
+    """
+    bmax = max(bnorm for bnorm, _ in norms)
+    bmin = min(rcond * bnorm for bnorm, rcond in norms)
+    cond = bmax / bmin if bmin > 0 else np.inf
+    return BoundResult(n=basis.n, r=r, value=value, coeffs=coeffs, basis=basis,
+                       condition_number=cond,
+                       condition_warning=bool(cond > COND_LIMIT),
+                       degenerate=bool(degenerate))
+
+
+def _solve_pencil(num_terms, den_terms, basis, r, dps):
+    """Bound from the blockwise smallest eigenpair of the pencil (A_num, A_den).
+
+    The coefficient vector is A_den-normalized.  The float A_den blocks
+    come from _factored_blocks and give the condition number, even with
+    dps set; then the exact blocks are solved in extended precision.
+    """
+    n = basis.n
+    elements = basis.elements
+    E = basis.exponent_array()
+    comps = _parity_components(elements, list(num_terms) + list(den_terms))
+    results = []
+    norms = []
+    for comp, B, bnorm, rcond in _factored_blocks(den_terms, E, comps, r, dps):
+        norms.append((bnorm, rcond))
         if dps is None:
-            w0, w1, vec = _solve_block(_localized_block(num_terms, Ec, n), B, r)
+            Ec = E[comp]
+            w0, w1, vec = _solve_block(moment_matrix(Ec, Ec, n, terms=num_terms), B, r)
         else:
             elems_c = [elements[i] for i in comp]
             w0, w1, vec = _solve_block_hp(
@@ -289,11 +301,7 @@ def _solve_pencil(num_terms, den_terms, basis, r, dps):
                 _localized_block_fraction(den_terms, elems_c, n), dps)
         results.append((w0, w1, vec, comp))
     value, coeffs, gap = _pick_winner(results, len(elements))
-    cond = bmax / bmin if bmin > 0 else np.inf
-    return BoundResult(n=n, r=r, value=value, coeffs=coeffs, basis=basis,
-                       condition_number=cond,
-                       condition_warning=bool(cond > COND_LIMIT),
-                       degenerate=bool(gap < GAP_TOL))
+    return _bound_result(basis, r, value, coeffs, gap < GAP_TOL, norms)
 
 
 def _check_args(n, r, polys, dps):
@@ -323,15 +331,18 @@ def upper_bound(f, n, r, dps=None):
     """
     n, r = _check_args(n, r, [f], dps)
     basis = sphere_basis(n, r)
-    res = _solve_pencil(f.terms, _unit(n), basis, r, dps)
-    if f.is_constant():
-        # pencil is c*B = lambda*B: every vector is optimal, pick the first
-        # basis vector (B-normalized since the Gram entry at 1,1 is 1)
-        coeffs = np.zeros(len(basis))
-        coeffs[0] = 1.0
-        res = replace(res, value=f.constant_term(), coeffs=coeffs,
-                      degenerate=len(basis) > 1)
-    return res
+    if not f.is_constant():
+        return _solve_pencil(f.terms, _unit(n), basis, r, dps)
+    # the pencil is c*B = lambda*B, so no block is solved: every vector is
+    # optimal; pick the first basis vector (B-normalized since the Gram
+    # entry at 1,1 is 1).  B is still factored for its condition number.
+    unit = _unit(n)
+    comps = _parity_components(basis.elements, list(unit))
+    norms = [(bnorm, rcond) for _, _, bnorm, rcond in
+             _factored_blocks(unit, basis.exponent_array(), comps, r, dps)]
+    coeffs = np.zeros(len(basis))
+    coeffs[0] = 1.0
+    return _bound_result(basis, r, f.constant_term(), coeffs, len(basis) > 1, norms)
 
 
 def rational_upper_bound(p, q, n, r, dps=None):

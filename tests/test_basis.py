@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ class TestPencil:
         b = sphere_basis(3, 2)
         E = b.exponent_array()
         o = MomentOracle(3)
-        M = moment_matrix(E, E, 3, shift=(2, 0, 0))
+        M = moment_matrix(E, E, 3, terms={(2, 0, 0): 1.0})
         for i in (0, 3, 7):
             for j in (1, 4, 8):
                 a = tuple(E[i] + E[j] + np.array([2, 0, 0]))
@@ -220,6 +221,11 @@ def _moment_matrix_reference(E1, E2, n, shift=None, chunk=512):
     return out
 
 
+def _single(shift):
+    """The one-term mapping {shift: 1.0}, or None (the Gram matrix) for None."""
+    return None if shift is None else {shift: 1.0}
+
+
 def _random_exponents(rng, m1, m2, n, top, shift):
     """Random E1, E2 with zero rows; about half of E2's rows have the parity
     of some E1 row plus shift, so both zero and nonzero entries occur."""
@@ -245,7 +251,7 @@ class TestMomentMatrixAssembly:
         for m1, m2, chunk in [(37, 23, 512), (37, 23, 8), (1, 9, 512), (0, 5, 512), (6, 0, 4)]:
             for shift in (None, tuple(int(v) for v in rng.integers(0, 4, size=n))):
                 E1, E2 = _random_exponents(rng, m1, m2, n, 6, shift)
-                M = moment_matrix(E1, E2, n, shift=shift, chunk=chunk)
+                M = moment_matrix(E1, E2, n, terms=_single(shift), chunk=chunk)
                 ref = _moment_matrix_reference(E1, E2, n, shift=shift, chunk=chunk)
                 assert M.shape == (m1, m2)
                 assert np.array_equal(M, ref)
@@ -262,7 +268,7 @@ class TestMomentMatrixAssembly:
         for comp in comps:
             Ec = E[comp]
             for g in (None, shift):
-                assert np.array_equal(moment_matrix(Ec, Ec, n, shift=g),
+                assert np.array_equal(moment_matrix(Ec, Ec, n, terms=_single(g)),
                                       _moment_matrix_reference(Ec, Ec, n, shift=g))
 
     @pytest.mark.parametrize("n", [8, 9, 10])
@@ -272,7 +278,7 @@ class TestMomentMatrixAssembly:
         for shift in (None, tuple(int(v) for v in rng.integers(0, 3, size=n))):
             E1, E2 = _random_exponents(rng, 9, 7, n, 4, shift)
             g = np.zeros(n, dtype=np.int64) if shift is None else np.array(shift)
-            M = moment_matrix(E1, E2, n, shift=shift)
+            M = moment_matrix(E1, E2, n, terms=_single(shift))
             ref = np.array([[float(o.moment_fraction(tuple(a + b + g))) for b in E2]
                             for a in E1])
             assert np.count_nonzero(ref) > 0
@@ -292,6 +298,141 @@ class TestMomentMatrixAssembly:
         ref = np.array([[float(o.moment_fraction(tuple(a + b))) for b in E2] for a in E1])
         assert np.array_equal(M == 0.0, ref == 0.0)
         assert_allclose(M, ref, rtol=1e-13, atol=0)
+
+
+def _moment_matrix_per_coordinate(E1, E2, n, shift=None, chunk=512):
+    """Reference one-shift assembly: lgamma gathers added coordinate by
+    coordinate, k = 1 first, then the parity mask."""
+    E1 = np.asarray(E1, dtype=np.int64)
+    E2 = np.asarray(E2, dtype=np.int64)
+    g = np.zeros(n, dtype=np.int64) if shift is None else np.asarray(shift, dtype=np.int64)
+    C = E2 + g
+    d1 = E1.sum(axis=1)
+    d2 = C.sum(axis=1)
+    lg_half, lg_sum, c0 = _lgamma_tables(n, int(d1.max(initial=0) + d2.max(initial=0)))
+    m1, m2 = len(E1), len(E2)
+    out = np.empty((m1, m2))
+    for lo in range(0, m1, chunk):
+        hi = min(lo + chunk, m1)
+        acc = lg_half[np.add.outer(E1[lo:hi, 0], C[:, 0])]
+        for i in range(1, n):
+            acc += lg_half[np.add.outer(E1[lo:hi, i], C[:, i])]
+        acc += c0
+        acc -= lg_sum[np.add.outer(d1[lo:hi], d2)]
+        block = np.exp(acc, out=out[lo:hi])
+        block[((E1[lo:hi, None, :] + C[None, :, :]) & 1).any(axis=2)] = 0.0
+    return out
+
+
+def _localized_block_reference(terms, E1, E2, n, chunk=512):
+    """Reference localized matrix: c_g * M_g added term by term onto zeros."""
+    A = np.zeros((len(E1), len(E2)))
+    for g, c in terms.items():
+        A += c * _moment_matrix_per_coordinate(E1, E2, n, shift=g, chunk=chunk)
+    return A
+
+
+def _table_prefix(E1, E2, n, terms):
+    """Coordinates the moment table covers: the longest prefix whose box of
+    half-exponent sums has at most m1 * m2 cells."""
+    G = np.array(list(terms), dtype=np.int64).reshape(-1, 1, n)
+    radix = ((E1 + 1) // 2).max(axis=0) + ((E2 + G) // 2).max(axis=(0, 1)) + 1
+    k, box = 0, 1
+    while k < n and box * radix[k] <= len(E1) * len(E2):
+        box *= int(radix[k])
+        k += 1
+    return k
+
+
+def _random_terms(rng, n, count, top):
+    return {tuple(int(v) for v in rng.integers(0, top + 1, size=n)): float(rng.normal())
+            for _ in range(count)}
+
+
+class TestLocalizedKernel:
+    """moment_matrix with a multi-term mapping against the per-term sum."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_bit_identical_to_per_term_sum_on_random_rectangular(self, n):
+        rng = np.random.default_rng(300 + n)
+        negative = 0
+        for m1, m2, chunk in [(37, 23, 512), (37, 23, 8), (23, 37, 8), (1, 9, 512),
+                              (9, 1, 512)]:
+            for count in (1, 2, 5):
+                terms = _random_terms(rng, n, count, 3)
+                negative += sum(c < 0 for c in terms.values())
+                E1, E2 = _random_exponents(rng, m1, m2, n, 6, next(iter(terms)))
+                M = moment_matrix(E1, E2, n, terms=terms, chunk=chunk)
+                assert np.array_equal(M, _localized_block_reference(terms, E1, E2, n, chunk))
+        assert negative > 0
+
+    @pytest.mark.parametrize("rows, cols, n, top, prefix", [
+        (30, 30, 3, 4, 3),   # full table: c0, lgamma and exp folded in
+        (3, 4, 4, 8, 1),     # partial prefix: one coordinate in the table
+        (1, 1, 3, 6, 0),     # no table: every coordinate gathered
+    ])
+    def test_each_table_regime(self, rows, cols, n, top, prefix):
+        rng = np.random.default_rng(400 + prefix)
+        terms = {(0,) * n: 1.5, (1,) + (0,) * (n - 1): -0.5, (2,) * n: 2.0}
+        E1 = rng.integers(0, top + 1, size=(rows, n))
+        E2 = rng.integers(0, top + 1, size=(cols, n))
+        E1[0] = top
+        E2[0] = top
+        assert _table_prefix(E1, E2, n, terms) == prefix
+        M = moment_matrix(E1, E2, n, terms=terms)
+        assert np.array_equal(M, _localized_block_reference(terms, E1, E2, n))
+        assert np.count_nonzero(M) > 0
+        if rows * cols > 1:
+            assert np.count_nonzero(M) < M.size
+
+    def test_empty_shapes_and_mappings(self):
+        rng = np.random.default_rng(17)
+        terms = _random_terms(rng, 3, 3, 2)
+        for m1, m2 in [(0, 5), (6, 0), (0, 0)]:
+            E1 = rng.integers(0, 4, size=(m1, 3))
+            E2 = rng.integers(0, 4, size=(m2, 3))
+            for t in (None, terms):
+                M = moment_matrix(E1, E2, 3, terms=t)
+                assert M.shape == (m1, m2)
+        E = rng.integers(0, 4, size=(4, 3))
+        assert np.array_equal(moment_matrix(E, E, 3, terms={}), np.zeros((4, 4)))
+
+    def test_parity_beyond_64_coordinates(self):
+        # parity classes of 70 coordinates, with shifts that flip the last ones
+        n = 70
+        rng = np.random.default_rng(70)
+        E1 = np.zeros((5, n), dtype=np.int64)
+        E1[1, 66] = 1
+        E1[2, 66] = 2
+        E1[3, [3, 40, 69]] = 1
+        E1[4, 69] = 3
+        E2 = np.zeros((4, n), dtype=np.int64)
+        E2[1, 66] = 1
+        E2[2, [3, 40]] = 1
+        E2[3, 69] = 1
+        terms = {(0,) * n: 1.0, tuple(int(k == 69) for k in range(n)): -2.0,
+                 tuple(int(k in (66, 69)) for k in range(n)): 0.5}
+        M = moment_matrix(E1, E2, n, terms=terms, chunk=int(rng.integers(1, 4)))
+        ref = _localized_block_reference(terms, E1, E2, n)
+        assert np.array_equal(M, ref)
+        assert 0 < np.count_nonzero(M) < M.size
+
+    def test_peak_memory_of_the_largest_x5_block(self):
+        # the largest parity block of x5 at n = 5, r = 16: assembly may
+        # allocate at most 3.5 times its output, the moment table included
+        basis = sphere_basis(5, 16)
+        e5 = (0, 0, 0, 0, 1)
+        comps = _parity_components(basis.elements, [e5])
+        E = basis.exponent_array()[max(comps, key=len)]
+        for terms in (None, {e5: 1.0}):
+            tracemalloc.start()
+            try:
+                M = moment_matrix(E, E, 5, terms=terms)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert M.shape == (825, 825)
+            assert peak <= 3.5 * M.nbytes
 
 
 class TestDump:

@@ -97,8 +97,8 @@ class TestUpperBound:
         assert res.degenerate
         c = res.coeffs
         assert c[0] == 1.0 and np.all(c[1:] == 0.0)
-        # constants go through the same solve and honour dps: at r = 24 the
-        # float Gram matrix is indefinite, so only the dps solve succeeds
+        # constants honour dps: at r = 24 the float Gram matrix is
+        # indefinite, so only the call with dps set succeeds
         for f, value in [(Polynomial.constant(2, 1.0), 1.0), (Polynomial(2, {}), 0.0)]:
             with pytest.raises(ConditioningError):
                 upper_bound(f, 2, 24)
@@ -107,6 +107,28 @@ class TestUpperBound:
             assert res.degenerate
             assert res.coeffs[0] == 1.0 and np.all(res.coeffs[1:] == 0.0)
             assert res.condition_number == math.inf and res.condition_warning
+
+    def test_constant_objective_solves_no_block(self, monkeypatch):
+        # the pencil c*B = lambda*B is not solved, in float64 or with dps;
+        # B is still factored for the condition number
+        expected = upper_bound(Polynomial.constant(3, 1.0), 3, 8)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a constant objective needs no block solve")
+
+        monkeypatch.setattr(bounds, "_solve_block_hp", fail)
+        monkeypatch.setattr(bounds, "_solve_block", fail)
+        res = upper_bound(Polynomial.constant(3, 1.0), 3, 8, dps=30)
+        assert res.value == expected.value == 1.0
+        assert np.array_equal(res.coeffs, expected.coeffs)
+        assert res.coeffs[0] == 1.0 and np.all(res.coeffs[1:] == 0.0)
+        assert res.condition_number == expected.condition_number
+        assert res.condition_warning == expected.condition_warning
+        assert res.degenerate and expected.degenerate
+        res = upper_bound(Polynomial.constant(2, 1.0), 2, 24, dps=60)
+        assert res.value == 1.0 and res.degenerate
+        assert res.coeffs[0] == 1.0 and np.all(res.coeffs[1:] == 0.0)
+        assert res.condition_number == math.inf and res.condition_warning
 
     def test_one_factorization_and_one_pencil_call_per_block(self, monkeypatch):
         # B is factored once for the condition estimate; no spectrum of B alone
@@ -366,7 +388,8 @@ class TestRational:
                                      2, 2, dps=dps)
 
     def test_assembles_only_the_localized_matrices(self, monkeypatch):
-        # one moment matrix per term of p and of q in every block, no Gram
+        # one float moment matrix for A_p and one for A_q in every block, no
+        # Gram matrix; exactly, one per term of p and of q
         p = parse_poly("x1", 2)
         q = parse_poly("2 + x1", 2)
         calls = {"float": 0, "exact": 0}
@@ -383,11 +406,11 @@ class TestRational:
         basis = sphere_basis(2, 3)
         blocks = len(bounds._parity_components(basis.elements, [(1, 0), (0, 0)]))
         expected = rational_upper_bound(p, q, 2, 3)
-        assert calls == {"float": 3 * blocks, "exact": 0}
+        assert calls == {"float": 2 * blocks, "exact": 0}
         calls["float"] = 0
         res = rational_upper_bound(p, q, 2, 3, dps=30)
         # the float A_q of each block gives the condition estimate
-        assert calls == {"float": 2 * blocks, "exact": 3 * blocks}
+        assert calls == {"float": blocks, "exact": 3 * blocks}
         assert res.value == pytest.approx(expected.value, abs=1e-12)
 
     def test_json_payload_shape(self):
@@ -473,10 +496,10 @@ def _solve_pencil_reference(num_terms, den_terms, basis):
     results = []
     bmin, bmax = np.inf, -np.inf
     for comp in comps:
-        B = bounds._localized_block(den_terms, E[comp], n)
+        B = bounds.moment_matrix(E[comp], E[comp], n, terms=den_terms)
         bw = scipy.linalg.eigh(B, eigvals_only=True)
         assert bw[0] > 0.0
-        A = bounds._localized_block(num_terms, E[comp], n)
+        A = bounds.moment_matrix(E[comp], E[comp], n, terms=num_terms)
         hi = min(1, len(B) - 1)
         w, V = scipy.linalg.eigh(A, B, subset_by_index=[0, hi])
         results.append((float(w[0]), float(w[1]) if hi else None, V[:, 0].copy(), comp))
