@@ -9,6 +9,7 @@ there, so the Gram matrix is positive definite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,14 +36,26 @@ class BasisSpec:
         return self.elements.index(tuple(alpha))
 
 
-def sphere_basis(n, r):
-    """Basis of monomial representatives of degree <= r on S^{n-1}."""
-    n = int(n)
-    r = int(r)
+def check_level(n, r):
+    """Validated (n, r): integers (by operator.index) with n >= 2 and r >= 0.
+
+    Floats are rejected, not truncated, so 2.5 never silently becomes 2.
+    """
+    try:
+        n = operator.index(n)
+        r = operator.index(r)
+    except TypeError:
+        raise ValueError(f"dimension and level must be integers, got n={n!r}, r={r!r}") from None
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if r < 0:
         raise ValueError("level must be nonnegative")
+    return n, r
+
+
+def sphere_basis(n, r):
+    """Basis of monomial representatives of degree <= r on S^{n-1}."""
+    n, r = check_level(n, r)
     elems = []
 
     def extend(prefix, remaining, budget):

@@ -14,6 +14,7 @@ eigenvalue unchanged and keeps large levels tractable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpocon, dpotrf
 
-from .basis import BasisSpec, gram_matrix_fraction, moment_matrix, sphere_basis
+from .basis import BasisSpec, check_level, gram_matrix_fraction, moment_matrix, sphere_basis
 from .polynomials import Polynomial
 from .sampling import sphere_points
 
@@ -30,6 +31,11 @@ from .sampling import sphere_points
 COND_LIMIT = 1e12
 # eigenvalue gap under which the smallest eigenvalue is flagged as multiple
 GAP_TOL = 1e-10
+# smallest dps accepted: the extended-precision solve starts from a float64
+# eigenpair, so fewer digits than float64 carries would only lose accuracy
+DPS_MIN = 16
+# inverse-iteration steps after which the extended-precision solve gives up
+HP_MAX_STEPS = 100
 
 
 class ConditioningError(RuntimeError):
@@ -47,7 +53,9 @@ class BoundResult:
     coeffs is normalized against the constraint matrix of the pencil (the
     Gram matrix, or A_q for rational bounds); degenerate marks a smallest
     eigenvalue with gap below GAP_TOL, where the density is non-unique and
-    the reported one is the solver's canonical choice.  condition_number is
+    the reported one is the solver's canonical choice; with dps set and a
+    multiple eigenvalue inside a block, that is the vector the inverse
+    iteration converges to from the float64 guess.  condition_number is
     a LAPACK dpocon estimate of the 1-norm condition of the float64
     constraint matrix, taken from its Cholesky factor, even when dps is set
     (inf when that factorization fails), so a condition_warning on a dps
@@ -174,7 +182,20 @@ def _solve_block(A, B, r):
 
 
 def _solve_block_hp(Afrac, Bfrac, dps):
-    """High-precision analogue of _solve_block from exact rational entries."""
+    """Smallest eigenpair of the pencil (A, B) from exact rational entries.
+
+    With L the dps-digit Cholesky factor of B, the pencil's eigenvalues are
+    those of M = L^{-1} A L^{-T}.  float64 eigh of M gives the guesses w0,
+    w1 and q0.  The shift sigma = w0 - tau, tau = 1e-12 (1 + max|M_ij|)
+    grown 100-fold until it holds, is proven to lie below the spectrum by a
+    successful Cholesky of M - sigma I, so inverse iteration with that
+    factor (two triangular solves per step, from q0) can only converge to
+    the smallest eigenpair; the float ordering is never trusted.  The value
+    is the Rayleigh quotient, which never falls below the smallest
+    eigenvalue; iteration stops once it changes by at most 16 eps scale,
+    and raises ConditioningError after HP_MAX_STEPS steps.  Returns
+    (value, float64 w1 or None, v) with v = L^{-T} q, so v^T B v = 1.
+    """
     import mpmath as mp
 
     m = len(Bfrac)
@@ -192,14 +213,43 @@ def _solve_block_hp(Afrac, Bfrac, dps):
                 f"high-precision Cholesky failed (dps={dps}): {exc}") from exc
         # M = L^{-1} A L^{-T} via two forward substitutions
         M = _lower_solve(L, _lower_solve(L, A).T)
-        E, Q = mp.eigsy((M + M.T) / 2)
-        # eigsy returns the eigenvalues ascending; back-substitute
-        # L^T v = q to recover the pencil eigenvector
-        v = mp.mp.U_solve(L.T, Q[:, 0])
-        w0 = float(E[0])
-        w1 = float(E[1]) if m > 1 else None
+        M = (M + M.T) / 2
+        w, Q = np.linalg.eigh(np.array(M.tolist(), dtype=float))
+        scale = 1 + max(abs(x) for x in M)
+        tau = 1e-12 * scale
+        # by the 12th try tau = 1e10 scale is past twice the spectral radius
+        for _ in range(12):
+            sigma = mp.mpf(w[0]) - tau
+            try:
+                C = mp.cholesky(M - sigma * mp.eye(m))
+                break
+            except ValueError:
+                tau *= 100
+        else:
+            raise ConditioningError(f"no shift below the spectrum found (dps={dps})")
+        Ct = C.T
+        q = mp.matrix(Q[:, 0].tolist())
+        tol = 16 * mp.eps * scale
+        prev = None
+        for _ in range(HP_MAX_STEPS):
+            # (M - sigma I) y = q, so sigma + q.y / y.y is y's Rayleigh quotient
+            y = mp.mp.U_solve(Ct, _lower_solve(C, q))
+            yy = mp.fdot(y, y)
+            rq = sigma + mp.fdot(q, y) / yy
+            q = y / mp.sqrt(yy)
+            if prev is not None and abs(rq - prev) <= tol:
+                break
+            prev = rq
+        else:
+            raise ConditioningError(
+                f"inverse iteration did not settle in {HP_MAX_STEPS} steps (dps={dps}); "
+                f"the smallest eigenvalues are nearly tied")
+        # the reported value is the Rayleigh quotient of q taken on M itself,
+        # which is exact wherever M's structure is (a zero or diagonal M)
+        value = mp.fdot(q, M * q)
+        v = mp.mp.U_solve(L.T, q)
         vec = np.array([float(v[i]) for i in range(m)])
-    return w0, w1, vec
+    return float(value), (float(w[1]) if m > 1 else None), vec
 
 
 def _lower_solve(L, X):
@@ -305,18 +355,14 @@ def _solve_pencil(num_terms, den_terms, basis, r, dps):
 
 
 def _check_args(n, r, polys, dps):
-    """Validated (n, r) shared by the entry points."""
-    n = int(n)
-    r = int(r)
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if r < 0:
-        raise ValueError("level must be nonnegative")
+    """Validated (n, r) shared by the entry points; dps must reach DPS_MIN."""
+    n, r = check_level(n, r)
     for p in polys:
         if p.n != n:
             raise ValueError(f"polynomial dimension {p.n}, expected {n}")
-    if dps is not None and dps <= 0:
-        raise ValueError(f"dps must be a positive number of digits, got {dps}")
+    if dps is not None and (not isinstance(dps, numbers.Integral) or dps < DPS_MIN):
+        raise ValueError(f"dps must be an integer number of digits of at least "
+                         f"{DPS_MIN} (float64 precision), got {dps!r}")
     return n, r
 
 
@@ -325,9 +371,10 @@ def upper_bound(f, n, r, dps=None):
 
     Solves A_f v = lambda B v over sphere_basis(n, r) by Cholesky reduction
     and a symmetric eigensolve; the bound is the smallest eigenvalue and is
-    nonincreasing in r.  Set dps to a decimal precision to solve in exact
-    rational assembly plus high-precision arithmetic instead of float64
-    (needed when the Gram condition number approaches 1/eps).
+    nonincreasing in r.  Set dps to a decimal precision (an integer of at
+    least DPS_MIN) to solve in exact rational assembly plus high-precision
+    arithmetic instead of float64 (needed when the Gram condition number
+    approaches 1/eps).
     """
     n, r = _check_args(n, r, [f], dps)
     basis = sphere_basis(n, r)

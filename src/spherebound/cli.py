@@ -56,7 +56,7 @@ def build_parser():
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--r", type=int, required=True)
     b.add_argument("--dps", type=int, default=None,
-                   help="decimal precision for the high-precision solve")
+                   help="decimal precision for the high-precision solve (at least 16)")
     b.add_argument("--json", default=None, help="output file (default stdout)")
 
     q = sub.add_parser("rational", help="rational-objective upper bound as JSON",

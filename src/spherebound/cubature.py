@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import check_level
 from .moments import MomentOracle, surface_area
 from .orthopoly import gauss_rule
 from .polynomials import Polynomial
@@ -166,11 +167,11 @@ def cubature_lower_bound(f, n, r, node_budget=5_000_000):
     is used (an odd grid never contains the antipode of a node, which keeps
     linear-objective certificates strictly above -1).
     """
-    n = int(n)
+    n, r = check_level(n, r)
     if f.n != n:
         raise ValueError(f"polynomial dimension {f.n}, expected {n}")
     if n == 2:
-        count = max(1, f.degree + 2 * int(r) + 1)
+        count = max(1, f.degree + 2 * r + 1)
         rule = circle_rule(count + 1 if count % 2 == 0 else count)
     else:
         d = select_rule_degree(f.degree, r)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import check_level
 from .bounds import upper_bound
 from .cubature import cubature_lower_bound
 from .polynomials import TAU_SPHERE, Polynomial, parse_poly
@@ -53,10 +54,12 @@ def sweep(f, n, r_lo, r_hi, certificates=True, dps=None):
     Certificates are skipped when the product rule would exceed the node
     budget of cubature_lower_bound.
     """
+    n, r_lo = check_level(n, r_lo)
+    _, r_hi = check_level(n, r_hi)
     if r_lo > r_hi:
         raise ValueError("empty level range")
     records = []
-    for r in range(int(r_lo), int(r_hi) + 1):
+    for r in range(r_lo, r_hi + 1):
         start = time.perf_counter()
         res = upper_bound(f, n, r, dps=dps)
         lower = None

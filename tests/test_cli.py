@@ -69,6 +69,12 @@ class TestBoundCommand:
         assert main(["rational", "--p", "x1", "--q", "2 + x1", "--n", "2", "--r", "1",
                      "--dps", "0"]) == 2
         assert "dps" in capsys.readouterr().err
+        # positive but below float64 precision
+        assert main(["bound", "--poly", "x3", "--n", "3", "--r", "4", "--dps", "3"]) == 2
+        assert "at least 16" in capsys.readouterr().err
+        assert main(["sweep", "--poly", "x3", "--n", "3", "--r-min", "2", "--r-max", "3",
+                     "--dps", "15"]) == 2
+        assert "at least 16" in capsys.readouterr().err
 
     def test_variable_out_of_range_is_input_failure(self):
         assert main(["bound", "--poly", "x3", "--n", "2", "--r", "1"]) == 2

@@ -239,6 +239,13 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             cubature_lower_bound(parse_poly("x5", 5), 5, 40)
 
+    def test_level_and_dimension_validated(self):
+        f = parse_poly("x3", 3)
+        for n, r in ((3, -1), (3, 2.5), (3.9, 2), (1, 2)):
+            with pytest.raises(ValueError):
+                cubature_lower_bound(f, n, r)
+        assert cubature_lower_bound(f, np.int64(3), np.int64(2)) == cubature_lower_bound(f, 3, 2)
+
     def test_sandwich_for_last_coordinate(self):
         # lower certificate <= bound <= smallest Jacobi root of the matching
         # weight, and everything within a C/r^2 collar of -1; for this

@@ -46,6 +46,14 @@ class TestFitRate:
         fit = fit_rate(records, 0.0, r_window=(1, 13))
         assert fit.r_range[1] == 12
 
+    def test_sweep_rejects_non_integral_levels_and_low_dps(self):
+        f = parse_poly("x3", 3)
+        for n, lo, hi in ((3, 2, 3.5), (3, 2.0, 3), (3.9, 2, 3), (3, -1, 2)):
+            with pytest.raises(ValueError):
+                sweep(f, n, lo, hi, certificates=False)
+        with pytest.raises(ValueError, match="at least 16"):
+            sweep(f, 3, 2, 3, certificates=False, dps=3)
+
     def test_insufficient_records(self):
         records = [SweepRecord(r=r, bound=1.0 / r, lower_certificate=None,
                                basis_size=0, runtime_ms=0.0) for r in (1, 2, 3)]
