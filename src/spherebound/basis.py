@@ -32,9 +32,6 @@ class BasisSpec:
     def exponent_array(self):
         return np.array(self.elements, dtype=np.int64)
 
-    def index(self, alpha):
-        return self.elements.index(tuple(alpha))
-
 
 def check_level(n, r):
     """Validated (n, r): integers (by operator.index) with n >= 2 and r >= 0.
@@ -214,10 +211,3 @@ def gram_matrix_fraction(elements, n, shift=None):
     g = (0,) * n if shift is None else tuple(shift)
     return [[oracle.moment_fraction(tuple(x + y + z for x, y, z in zip(a, b, g)))
              for b in elements] for a in elements]
-
-
-def dump_matrix(M, fh):
-    """Write a matrix as plain text, row-major, one row per line, %.17g."""
-    M = np.asarray(M)
-    for row in np.atleast_2d(M):
-        fh.write(" ".join("%.17g" % v for v in row) + "\n")

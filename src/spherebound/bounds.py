@@ -23,7 +23,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpocon, dpotrf
 
 from .basis import BasisSpec, check_level, gram_matrix_fraction, moment_matrix, sphere_basis
-from .polynomials import Polynomial
+from .polynomials import Polynomial, as_index
 from .sampling import sphere_points
 
 # 1-norm condition number of B (the Gram matrix, or A_q), as LAPACK dpocon
@@ -434,9 +434,9 @@ def density_grid(den, n, resolution=100):
     both sampled at resolution+1 equispaced values, theta varying slowest;
     the point map is x = (sin t sin p, sin t cos p, cos t).
     """
-    if int(n) != 3 or den.basis.n != 3:
+    if as_index(n, "dimension") != 3 or den.basis.n != 3:
         raise ValueError("density grids are defined for n = 3 only")
-    resolution = int(resolution)
+    resolution = as_index(resolution, "resolution")
     if resolution < 1:
         raise ValueError("resolution must be positive")
     theta = np.linspace(0.0, np.pi, resolution + 1)
@@ -455,7 +455,7 @@ def grid_local_maxima(grid, resolution):
     phi wraps around (the duplicate phi = 2 pi column is dropped); the two
     pole rows are excluded since all their entries map to a single point.
     """
-    resolution = int(resolution)
+    resolution = as_index(resolution, "resolution")
     G = np.asarray(grid).reshape(resolution + 1, resolution + 1, 3)[:, :resolution]
     H = G[..., 2]
     # one wrapped column on each side, so every neighbor is a slice

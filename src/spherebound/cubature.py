@@ -17,7 +17,7 @@ import numpy as np
 from .basis import check_level
 from .moments import MomentOracle, surface_area
 from .orthopoly import gauss_rule
-from .polynomials import Polynomial
+from .polynomials import Polynomial, as_index
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def circle_rule(d):
     for sin(d theta); it is not exact on cos(d theta) (the rule sums it to 1
     while the integral is 0), so the certified degree is d-1.
     """
-    d = int(d)
+    d = as_index(d, "node count")
     if d < 1:
         raise ValueError("need at least one node")
     theta = 2.0 * math.pi * np.arange(d) / d
@@ -77,8 +77,8 @@ def sphere_product_rule(n, d):
     of d-point Gauss-Gegenbauer nodes (index (i-1)/2) in the remaining ones;
     node count is 2d * d^(n-2) and the weights sum to surface_area(n).
     """
-    n = int(n)
-    d = int(d)
+    n = as_index(n, "dimension")
+    d = as_index(d, "parameter d")
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if d < 1:

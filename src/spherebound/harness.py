@@ -1,8 +1,7 @@
 """Experiment harness: level sweeps, rate fits, and reference reproductions.
 
 All file exports live here (sweep CSV, density CSV) next to the routines
-that produce them; randomized estimates use fixed seeds so reruns of the
-same configuration write identical files.
+that produce them.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import numpy as np
 from .basis import check_level
 from .bounds import upper_bound
 from .cubature import cubature_lower_bound
-from .polynomials import TAU_SPHERE, Polynomial, parse_poly
-from .sampling import sphere_points
+from .polynomials import parse_poly
 
 # benchmark objective: nonnegative degree-6 form with minimum 0 on the sphere
 MOTZKIN_TEXT = "x3^6 + x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2*x3^2"
@@ -74,11 +72,6 @@ def sweep(f, n, r_lo, r_hi, certificates=True, dps=None):
     return records
 
 
-def estimate_min(f, n, samples=1_000_000, seed=0):
-    """Sampled minimum of f on the sphere (quasirandom, fixed seed)."""
-    return float(f.eval_many(sphere_points(samples, n, seed=seed)).min())
-
-
 def fit_rate(records, f_ref, r_window=None):
     """Least-squares slope of log(bound - f_ref) against log r.
 
@@ -111,60 +104,6 @@ def fit_rate(records, f_ref, r_window=None):
     return RateFit(slope=float(slope), intercept=float(intercept),
                    r_range=(min(rec.r for rec in recs), max(rec.r for rec in recs)),
                    residual=float(np.sqrt(np.mean(resid ** 2))))
-
-
-def hessian_norm_bound(f, n):
-    """Largest spectral norm of the Hessian of f on 10,000 sphere samples."""
-    grads = f.gradient()
-    X = sphere_points(10_000, n, seed=1)
-    H = np.empty((len(X), n, n))
-    for i in range(n):
-        row = grads[i].gradient()
-        for j in range(i, n):
-            H[:, i, j] = H[:, j, i] = row[j].eval_many(X)
-    return float(np.abs(np.linalg.eigvalsh(H)).max())
-
-
-def linearize_at(f, a, c_f=None):
-    """Degree-1 majorant of f on the sphere that is tight at the point a.
-
-    Returns g(x) = f(a) + grad f(a) . (x - a) + C (1 - a . x) with
-    C = c_f, defaulting to 1.5 times the sampled Hessian norm bound; by
-    Taylor's theorem g >= f on the sphere when C dominates the Hessian.
-    """
-    a = np.asarray(a, dtype=float)
-    n = f.n
-    if a.shape != (n,):
-        raise ValueError(f"point has shape {a.shape}, expected ({n},)")
-    if abs(a @ a - 1.0) > TAU_SPHERE:
-        raise ValueError("linearization point must lie on the unit sphere")
-    if c_f is None:
-        c_f = 1.5 * hessian_norm_bound(f, n)
-    fa = f.evaluate(a)
-    ga = [gi.evaluate(a) for gi in f.gradient()]
-    terms = {(0,) * n: fa - float(np.dot(ga, a)) + c_f}
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        terms[tuple(e)] = terms.get(tuple(e), 0.0) + ga[i] - c_f * a[i]
-    return Polynomial(n, terms)
-
-
-def rotate_linear(c):
-    """Orthogonal matrix U with U c = e1 (Householder reflection)."""
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1:
-        raise ValueError(f"vector has shape {c.shape}, expected a 1-D vector")
-    n = len(c)
-    if abs(np.linalg.norm(c) - 1.0) > 1e-12:
-        raise ValueError("rotate_linear expects a unit vector")
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    v = c - e1
-    vv = v @ v
-    if vv < 1e-28:
-        return np.eye(n)
-    return np.eye(n) - 2.0 * np.outer(v, v) / vv
 
 
 def reproduce_table1(tol=TABLE1_TOLERANCE):

@@ -77,11 +77,6 @@ def smallest_root(params, d):
     return float(jacobi_matrix(params, d).eigenvalues()[0])
 
 
-def gegenbauer_roots(lam, d):
-    """All d roots of the Gegenbauer polynomial C^lam_d, ascending."""
-    return jacobi_matrix(JacobiParams.gegenbauer(lam), d).eigenvalues()
-
-
 def gauss_rule(lam, d):
     """Gauss rule for the weight (1-x^2)^(lam-1/2) on [-1, 1].
 

@@ -2,19 +2,16 @@
 
 Polynomials are stored as a map from exponent tuples to nonzero float
 coefficients.  The module provides arithmetic, evaluation, differentiation,
-a small text grammar (parser and printer), and canonical reduction modulo
-the sphere relation x1^2 + ... + xn^2 = 1.
+linear changes of variables, and a small text grammar (parser and printer).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import numpy as np
-
-# Tolerance for membership of a point on the unit sphere.
-TAU_SPHERE = 1e-9
 
 # Rows per block in Polynomial.eval_many: a block's power tables stay in
 # cache (32 KB per row of a table).
@@ -29,8 +26,19 @@ class ParseError(ValueError):
         self.position = position
 
 
+def as_index(value, name):
+    """value as an int by operator.index: a float raises, so 2.5 never becomes 2."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_exponents(n, alpha):
-    alpha = tuple(int(e) for e in alpha)
+    try:
+        alpha = tuple(map(operator.index, alpha))
+    except TypeError:
+        raise ValueError(f"exponents must be integers, got {alpha!r}") from None
     if len(alpha) != n:
         raise ValueError(f"exponent tuple {alpha} has length {len(alpha)}, expected {n}")
     if any(e < 0 for e in alpha):
@@ -53,7 +61,7 @@ class Polynomial:
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
-        n = int(n)
+        n = as_index(n, "dimension")
         if n < 1:
             raise ValueError("dimension must be at least 1")
         object.__setattr__(self, "n", n)
@@ -83,6 +91,7 @@ class Polynomial:
     @classmethod
     def variable(cls, n, i):
         """The monomial x_i (1-based index)."""
+        i = as_index(i, "variable index")
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         alpha = [0] * n
@@ -142,7 +151,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        k = int(k)
+        k = as_index(k, "power")
         if k < 0:
             raise ValueError("negative power")
         out = Polynomial.constant(self.n, 1.0)
@@ -370,33 +379,3 @@ def parse_poly(text, n):
             if kind != "op" or value not in "+-":
                 raise ParseError(f"expected '+' or '-' between terms, got {value!r}", pos)
     return result
-
-
-def reduce_mod_sphere(p):
-    """Canonical representative of p modulo the sphere relation.
-
-    Substitutes x_n^2 = 1 - x_1^2 - ... - x_{n-1}^2 until every term has
-    x_n-exponent at most 1.  The result agrees with p everywhere on the
-    unit sphere.
-    """
-    n = p.n
-    rest = {(0,) * n: 1.0}
-    for i in range(n - 1):
-        a = [0] * n
-        a[i] = 2
-        rest[tuple(a)] = -1.0
-    s = Polynomial(n, rest)
-    powers = {0: Polynomial.constant(n, 1.0)}
-
-    def s_power(q):
-        if q not in powers:
-            powers[q] = s_power(q - 1) * s
-        return powers[q]
-
-    out = Polynomial.zero(n)
-    for a, c in p.terms.items():
-        q, rem = divmod(a[n - 1], 2)
-        base = list(a)
-        base[n - 1] = rem
-        out = out + s_power(q) * Polynomial(n, {tuple(base): c})
-    return out

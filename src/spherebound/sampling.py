@@ -8,6 +8,8 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+from .polynomials import as_index
+
 
 def sphere_points(m, n, seed=0):
     """m scrambled-Sobol points on S^{n-1}, deterministic for a given seed.
@@ -15,10 +17,10 @@ def sphere_points(m, n, seed=0):
     Uniformity comes from pushing Sobol samples through the Gaussian inverse
     CDF and normalizing; the spherical Gaussian is rotation invariant.
     """
-    m = int(m)
+    m = as_index(m, "point count")
     if m < 1:
         raise ValueError("need at least one point")
-    sampler = qmc.Sobol(d=int(n), scramble=True, seed=seed)
+    sampler = qmc.Sobol(d=as_index(n, "dimension"), scramble=True, seed=seed)
     # draw a power-of-two block to keep the Sobol set balanced
     u = sampler.random_base2(max(1, math.ceil(math.log2(m))))[:m]
     g = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))

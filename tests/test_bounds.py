@@ -15,10 +15,10 @@ from numpy.testing import assert_allclose
 from conftest import random_poly
 from spherebound import bounds
 from spherebound import (CertificationError, ConditioningError, MomentOracle,
-                         Polynomial, build_pencil, density_grid,
-                         extract_density, grid_local_maxima, motzkin_form,
-                         parse_poly, rational_upper_bound, sphere_basis,
-                         sphere_points, upper_bound)
+                         Polynomial, build_pencil, circle_rule, cubature_lower_bound,
+                         density_grid, extract_density, grid_local_maxima,
+                         motzkin_form, parse_poly, rational_upper_bound, sphere_basis,
+                         sphere_points, sphere_product_rule, upper_bound)
 
 S3 = 1.0 / math.sqrt(3.0)
 
@@ -756,3 +756,68 @@ class TestExtendedPrecisionSolve:
         monkeypatch.setattr(bounds, "HP_MAX_STEPS", 1)
         with pytest.raises(ConditioningError, match="dps=40"):
             upper_bound(parse_poly("x3", 3), 3, 3, dps=40)
+
+
+@st.composite
+def _bound_cases(draw):
+    """A random f of degree <= 6 on S^2 or S^3, a level, and an orthogonal U."""
+    n = draw(st.sampled_from([3, 4]))
+    r = draw(st.integers(0, 4 if n == 3 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = random_poly(n, 6, rng)
+    p = random_poly(n, 2, rng)
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+    U, _ = np.linalg.qr(np.reshape(entries, (n, n)))
+    return f, p, n, r, U
+
+
+class TestBoundProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_bound_cases())
+    def test_invariance_majorization_and_certificate(self, case):
+        f, p, n, r, U = case
+        assert np.max(np.abs(U.T @ U - np.eye(n))) <= 1e-12
+        value = upper_bound(f, n, r).value
+        tol = 1e-10 * (1.0 + abs(value))
+        # the surface measure and the basis span are rotation invariant
+        assert abs(upper_bound(f.compose_linear(U), n, r).value - value) <= tol
+        # f + p^2 >= f pointwise, so its level-r bound cannot be smaller
+        assert upper_bound(f + p * p, n, r).value >= value - tol
+        # the cubature certificate bounds the level-r value from below
+        assert cubature_lower_bound(f, n, r) <= value + tol
+
+
+def _motzkin_grid_density():
+    return extract_density(upper_bound(motzkin_form(), 3, 2))
+
+
+# each public integer argument, as a call of that argument and a valid value
+_INTEGER_ARGUMENTS = {
+    "exponent": (lambda k: Polynomial(2, {(k, 0): 1.0}), 2),
+    "dimension": (lambda k: Polynomial(k, {}), 2),
+    "power": (lambda k: Polynomial.variable(3, 1) ** k, 2),
+    "variable index": (lambda k: Polynomial.variable(3, k), 2),
+    "circle_rule d": (lambda k: circle_rule(k).nodes, 5),
+    "sphere_product_rule n": (lambda k: sphere_product_rule(k, 2).nodes, 3),
+    "sphere_product_rule d": (lambda k: sphere_product_rule(3, k).nodes, 2),
+    "sphere_points m": (lambda k: sphere_points(k, 3), 10),
+    "sphere_points n": (lambda k: sphere_points(10, k), 3),
+    "density_grid n": (lambda k: density_grid(_motzkin_grid_density(), k, 4), 3),
+    "density_grid resolution": (lambda k: density_grid(_motzkin_grid_density(), 3, k), 4),
+    "grid_local_maxima resolution": (lambda k: grid_local_maxima(
+        density_grid(_motzkin_grid_density(), 3, 4), k), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_ARGUMENTS))
+def test_integer_arguments_are_never_truncated(name):
+    call, good = _INTEGER_ARGUMENTS[name]
+    for bad in (good + 0.5, float(good), str(good)):
+        with pytest.raises(ValueError, match="integer"):
+            call(bad)
+    expect = call(good)
+    got = call(np.int64(good))
+    if isinstance(expect, np.ndarray):
+        assert np.array_equal(got, expect)
+    else:
+        assert got == expect

@@ -10,9 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spherebound import (JacobiParams, MomentOracle, circle_rule,
-                         cubature_lower_bound, gegenbauer_roots,
-                         max_exactness_error, motzkin_form, parse_poly,
-                         save_rule_csv, smallest_root, sphere_product_rule,
+                         cubature_lower_bound, max_exactness_error, motzkin_form,
+                         parse_poly, save_rule_csv, smallest_root, sphere_product_rule,
                          surface_area, upper_bound)
 from spherebound.cubature import QuadratureRule, select_rule_degree
 from spherebound.orthopoly import gauss_rule
@@ -211,7 +210,7 @@ class TestLowerBound:
     def test_last_coordinate_hits_gegenbauer_root(self):
         f = parse_poly("x3", 3)
         got = cubature_lower_bound(f, 3, 4)
-        assert_allclose(got, gegenbauer_roots(0.5, 5)[0], rtol=1e-14)
+        assert_allclose(got, smallest_root(JacobiParams.gegenbauer(0.5), 5), rtol=1e-14)
 
     def test_circle_linear_objective(self):
         # deg 1 + 2r = 7 forces the 9-node rule; its minimum of x1 is the

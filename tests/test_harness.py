@@ -1,16 +1,13 @@
-"""Sweeps, rate fits, reductions, and file exports."""
+"""Sweeps, rate fits, and file exports."""
 
 import io
 import math
 
-import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from spherebound import (Polynomial, SweepRecord, estimate_min, fit_rate,
-                         hessian_norm_bound, linearize_at, load_sweep_csv,
-                         motzkin_form, parse_poly, reproduce_table1,
-                         rotate_linear, save_sweep_csv, sweep, upper_bound)
+from spherebound import (Polynomial, SweepRecord, fit_rate, load_sweep_csv,
+                         motzkin_form, parse_poly, reproduce_table1, save_sweep_csv,
+                         sweep)
 from spherebound.harness import TABLE1_REFERENCE
 
 
@@ -103,79 +100,6 @@ class TestSweep:
     def test_reference_row_values(self):
         assert TABLE1_REFERENCE == (0.1714, 0.0952, 0.0519, 0.0457, 0.0287,
                                     0.0283, 0.0193, 0.0177, 0.0139, 0.0122)
-
-
-class TestEstimates:
-    def test_minimum_of_linear_coordinate(self):
-        est = estimate_min(parse_poly("x3", 3), 3, samples=200_000)
-        assert -1.0 <= est <= -0.999
-
-    def test_motzkin_minimum_near_zero(self):
-        est = estimate_min(motzkin_form(), 3, samples=200_000)
-        assert 0.0 <= est <= 1e-4
-
-    def test_hessian_scale_on_quadratic(self):
-        # Hessian of x1^2 is constant with spectral norm 2
-        got = hessian_norm_bound(parse_poly("x1^2", 3), 3)
-        assert_allclose(got, 2.0, rtol=1e-12)
-
-    def test_hessian_of_linear_is_zero(self):
-        assert hessian_norm_bound(parse_poly("x1 - 2*x2", 3), 3) == 0.0
-
-
-class TestLinearize:
-    def test_linear_objective_fixed_point(self):
-        f = parse_poly("x1 + 2*x2", 3)
-        g = linearize_at(f, (1.0, 0.0, 0.0), c_f=0.0)
-        assert g == f
-
-    def test_majorizes_at_reference_minimizer(self):
-        f = motzkin_form()
-        a = (1.0, 0.0, 0.0)
-        g = linearize_at(f, a)
-        assert g.degree <= 1
-        assert abs(g.evaluate(a) - f.evaluate(a)) <= 1e-12
-        rng = np.random.default_rng(43)
-        X = rng.standard_normal((10_000, 3))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        assert float((g.eval_many(X) - f.eval_many(X)).min()) >= -1e-9
-
-    def test_bound_gap_transfers_to_majorant(self):
-        f = motzkin_form()
-        a = (1.0, 0.0, 0.0)
-        g = linearize_at(f, a)
-        for r in range(2, 7):
-            gap_f = upper_bound(f, 3, r).value - f.evaluate(a)
-            gap_g = upper_bound(g, 3, r).value - g.evaluate(a)
-            assert gap_f <= gap_g + 1e-10
-
-    def test_off_sphere_reference_rejected(self):
-        with pytest.raises(ValueError):
-            linearize_at(motzkin_form(), (1.0, 1.0, 0.0))
-
-
-class TestRotateLinear:
-    def test_first_axis_fixed(self):
-        U = rotate_linear(np.array([1.0, 0.0, 0.0]))
-        assert_allclose(U @ [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], atol=1e-15)
-
-    def test_random_unit_vectors(self):
-        rng = np.random.default_rng(47)
-        for n in (2, 3, 4, 6):
-            for _ in range(5):
-                c = rng.standard_normal(n)
-                c /= np.linalg.norm(c)
-                U = rotate_linear(c)
-                e1 = np.zeros(n)
-                e1[0] = 1.0
-                assert np.linalg.norm(U @ c - e1) <= 1e-12
-                assert np.max(np.abs(U.T @ U - np.eye(n))) <= 1e-12
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            rotate_linear(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            rotate_linear(np.eye(2))
 
 
 class TestCsv:

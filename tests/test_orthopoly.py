@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spherebound import (JacobiParams, ball_constant, gauss_rule,
-                         gegenbauer_roots, interval_moment, jacobi_matrix,
-                         smallest_root)
+from spherebound import (JacobiParams, ball_constant, gauss_rule, interval_moment,
+                         jacobi_matrix, smallest_root)
 from spherebound.orthopoly import TridiagonalMatrix
 
 
@@ -70,18 +69,21 @@ class TestSmallestRoot:
 
 
 class TestGegenbauerRoots:
+    # the roots of C^lam_d are the eigenvalues of the Jacobi matrix that
+    # gauss_rule and smallest_root use
     def test_degree_one(self):
         for lam in (0.0, 0.5, 2.0):
-            assert_allclose(gegenbauer_roots(lam, 1), [0.0], atol=1e-16)
+            assert_allclose(jacobi_matrix(JacobiParams.gegenbauer(lam), 1).eigenvalues(),
+                            [0.0], atol=1e-16)
 
     def test_legendre_case(self):
-        assert_allclose(gegenbauer_roots(0.5, 2),
+        assert_allclose(jacobi_matrix(JacobiParams.gegenbauer(0.5), 2).eigenvalues(),
                         [-1 / math.sqrt(3), 1 / math.sqrt(3)], rtol=1e-14)
 
     def test_sorted_distinct_open_interval(self):
         for lam in (0.0, 0.5, 1.0, 1.5):
             for d in (3, 10, 25):
-                t = gegenbauer_roots(lam, d)
+                t = jacobi_matrix(JacobiParams.gegenbauer(lam), d).eigenvalues()
                 assert len(t) == d
                 assert np.all(np.diff(t) > 0)
                 assert t[0] > -1 and t[-1] < 1
@@ -89,14 +91,14 @@ class TestGegenbauerRoots:
     def test_interlacing(self):
         for lam in (0.0, 0.5, 1.0, 1.5):
             for d in range(1, 31):
-                t = gegenbauer_roots(lam, d)
-                u = gegenbauer_roots(lam, d + 1)
+                t = jacobi_matrix(JacobiParams.gegenbauer(lam), d).eigenvalues()
+                u = jacobi_matrix(JacobiParams.gegenbauer(lam), d + 1).eigenvalues()
                 # u_1 < t_1 < u_2 < ... < t_d < u_{d+1}
                 assert np.all(u[:-1] < t) and np.all(t < u[1:])
 
     def test_extreme_root_gap_scaling(self):
         d = 20
-        t1 = gegenbauer_roots(0.5, d)[0]
+        t1 = jacobi_matrix(JacobiParams.gegenbauer(0.5), d).eigenvalues()[0]
         assert 2.0 <= (1.0 + t1) * d * d <= 8.0
 
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_poly, random_sphere
-from spherebound import (MOTZKIN_TEXT, ParseError, Polynomial, motzkin_form,
-                         parse_poly, reduce_mod_sphere)
+from conftest import random_poly
+from spherebound import MOTZKIN_TEXT, ParseError, Polynomial, motzkin_form, parse_poly
 
 
 class TestParse:
@@ -246,45 +245,6 @@ class TestGradient:
         g = np.array([gi.evaluate(a) for gi in f.gradient()])
         tangential = g - (g @ a) * a
         assert np.linalg.norm(tangential) < 1e-12
-
-
-class TestReduceModSphere:
-    def test_sum_of_squares_is_one(self):
-        p = parse_poly("x1^2 + x2^2 + x3^2", 3)
-        assert reduce_mod_sphere(p) == Polynomial.constant(3, 1.0)
-
-    def test_single_substitution(self):
-        q = reduce_mod_sphere(parse_poly("x3^3", 3))
-        expect = parse_poly("x3 - x1^2*x3 - x2^2*x3", 3)
-        assert q == expect
-
-    def test_last_exponent_capped(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            p = random_poly(3, 7, rng)
-            q = reduce_mod_sphere(p)
-            assert all(a[-1] <= 1 for a in q.terms)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(32)
-        for _ in range(20):
-            q = reduce_mod_sphere(random_poly(4, 6, rng))
-            assert reduce_mod_sphere(q) == q
-
-    def test_motzkin_agrees_on_sphere(self):
-        rng = np.random.default_rng(33)
-        f = motzkin_form()
-        q = reduce_mod_sphere(f)
-        X = random_sphere(200, 3, rng)
-        assert_allclose(q.eval_many(X), f.eval_many(X), rtol=0, atol=1e-12)
-
-    def test_random_agreement_on_sphere(self):
-        rng = np.random.default_rng(34)
-        X = random_sphere(50, 4, rng)
-        for _ in range(10):
-            p = random_poly(4, 6, rng)
-            q = reduce_mod_sphere(p)
-            assert_allclose(q.eval_many(X), p.eval_many(X), rtol=0, atol=1e-11)
 
 
 class TestPrinting:
