@@ -51,22 +51,24 @@ def check_level(n, r):
 
 
 def sphere_basis(n, r):
-    """Basis of monomial representatives of degree <= r on S^{n-1}."""
+    """Basis of monomial representatives of degree <= r on S^{n-1}.
+
+    Elements come degree by degree, each degree in descending
+    lexicographic order.
+    """
     n, r = check_level(n, r)
-    elems = []
 
-    def extend(prefix, remaining, budget):
-        if remaining == 1:
-            # last exponent capped at 1 by the sphere reduction
-            for e in range(min(1, budget) + 1):
-                elems.append(prefix + (e,))
-            return
-        for e in range(budget + 1):
-            extend(prefix + (e,), remaining - 1, budget - e)
+    @lru_cache(maxsize=None)
+    def tails(k, s):
+        # exponent tuples of length k and sum s with the last one at most 1,
+        # descending; with two coordinates left the first is s or s - 1
+        if k == 1:
+            return [(s,)]
+        lo = max(s - 1, 0) if k == 2 else 0
+        return [(e,) + t for e in range(s, lo - 1, -1) for t in tails(k - 1, s - e)]
 
-    extend((), n, r)
-    elems.sort(key=lambda a: (sum(a), tuple(-e for e in a)))
-    return BasisSpec(n=n, r=r, elements=tuple(elems))
+    elems = tuple(a for d in range(r + 1) for a in tails(n, d))
+    return BasisSpec(n=n, r=r, elements=elems)
 
 
 @lru_cache(maxsize=32)

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .polynomials import as_index
+
 _LOG_PI = math.log(math.pi)
 
 
 def surface_area(n):
     """Total surface measure of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
-    n = int(n)
+    n = as_index(n, "dimension")
     if n < 1:
         raise ValueError("dimension must be at least 1")
     return 2.0 * math.exp(0.5 * n * _LOG_PI - math.lgamma(0.5 * n))
@@ -24,7 +26,7 @@ def surface_area(n):
 
 def ball_constant(d, lam):
     """Mass of the weight (1 - |x|^2)^(lam - 1/2) over the unit ball in R^d."""
-    d = int(d)
+    d = as_index(d, "dimension")
     if d < 1:
         raise ValueError("dimension must be at least 1")
     lam = float(lam)
@@ -40,7 +42,7 @@ def interval_moment(k, nu):
     Returns the integral of t^k against the weight, divided by the weight's
     total mass.  Zero for odd k by symmetry.
     """
-    k = int(k)
+    k = as_index(k, "moment order")
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     nu = float(nu)
@@ -57,14 +59,14 @@ class MomentOracle:
     """Monomial moments of the normalized surface measure on S^{n-1}."""
 
     def __init__(self, n):
-        n = int(n)
+        n = as_index(n, "dimension")
         if n < 2:
             raise ValueError("sphere moments need dimension at least 2")
         self.n = n
 
     def moment(self, alpha):
         """Normalized moment of x^alpha; zero when any exponent is odd."""
-        alpha = tuple(int(e) for e in alpha)
+        alpha = tuple(as_index(e, "exponent") for e in alpha)
         if len(alpha) != self.n:
             raise ValueError(f"multi-index length {len(alpha)}, expected {self.n}")
         if any(e < 0 for e in alpha):
@@ -81,7 +83,7 @@ class MomentOracle:
 
     def moment_fraction(self, alpha):
         """Exact rational moment: prod (a_i - 1)!! / prod_{k=1}^{s/2} (n + 2k - 2)."""
-        alpha = tuple(int(e) for e in alpha)
+        alpha = tuple(as_index(e, "exponent") for e in alpha)
         if len(alpha) != self.n:
             raise ValueError(f"multi-index length {len(alpha)}, expected {self.n}")
         if any(e % 2 for e in alpha):

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .moments import ball_constant
+from .polynomials import as_index
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class TridiagonalMatrix:
 
 def jacobi_matrix(params, d):
     """Jacobi matrix of order d; its eigenvalues are the roots of P^{a,b}_d."""
-    d = int(d)
+    d = as_index(d, "degree")
     if d < 1:
         raise ValueError("degree must be at least 1")
     a, b = params.a, params.b

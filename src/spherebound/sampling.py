@@ -1,12 +1,16 @@
-"""Quasirandom point sets on the unit sphere (fixed-seed, reproducible)."""
+"""Quasirandom point sets on the unit sphere (fixed-seed, reproducible).
+
+scipy.stats, which holds the Sobol sampler, would be the package's slowest
+import, and only the denominator check of `rational_upper_bound` draws
+samples, so it is imported on the first call of `sphere_points`, not with
+the package.
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .polynomials import as_index
 
@@ -15,8 +19,12 @@ def sphere_points(m, n, seed=0):
     """m scrambled-Sobol points on S^{n-1}, deterministic for a given seed.
 
     Uniformity comes from pushing Sobol samples through the Gaussian inverse
-    CDF and normalizing; the spherical Gaussian is rotation invariant.
+    CDF and normalizing; the spherical Gaussian is rotation invariant.  The
+    first call imports scipy.stats and scipy.special.
     """
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     m = as_index(m, "point count")
     if m < 1:
         raise ValueError("need at least one point")

@@ -1,5 +1,6 @@
 """Reduced monomial basis and moment-matrix pencil assembly."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -33,14 +34,13 @@ class TestSphereBasis:
                 assert len(sphere_basis(n, r)) == size
 
     def test_membership_and_order(self):
-        b = sphere_basis(3, 4)
-        elems = b.elements
-        assert len(set(elems)) == len(elems)
-        for a in elems:
-            assert sum(a) <= 4 and a[-1] <= 1
-        # graded lexicographic: degree first, then x1 before x2 before x3
-        key = [(sum(a), tuple(-v for v in a)) for a in elems]
-        assert key == sorted(key)
+        for n, r in [(2, 0), (2, 9), (3, 4), (3, 40), (4, 7), (5, 16), (6, 9), (7, 6)]:
+            # every a with |a| <= r and a_n <= 1, in graded lexicographic
+            # order: degree first, then x1 before x2 before x3 ...
+            ref = sorted((a + (e,) for a in itertools.product(range(r + 1), repeat=n - 1)
+                          for e in (0, 1) if sum(a) + e <= r),
+                         key=lambda a: (sum(a), tuple(-v for v in a)))
+            assert sphere_basis(n, r).elements == tuple(ref)
 
     def test_exponent_array(self):
         b = sphere_basis(4, 2)

@@ -14,11 +14,12 @@ from numpy.testing import assert_allclose
 
 from conftest import random_poly
 from spherebound import bounds
-from spherebound import (CertificationError, ConditioningError, MomentOracle,
-                         Polynomial, build_pencil, circle_rule, cubature_lower_bound,
-                         density_grid, extract_density, grid_local_maxima,
-                         motzkin_form, parse_poly, rational_upper_bound, sphere_basis,
-                         sphere_points, sphere_product_rule, upper_bound)
+from spherebound import (CertificationError, ConditioningError, JacobiParams, MomentOracle,
+                         Polynomial, ball_constant, build_pencil, circle_rule,
+                         cubature_lower_bound, density_grid, extract_density, gauss_rule,
+                         grid_local_maxima, interval_moment, jacobi_matrix, motzkin_form,
+                         parse_poly, rational_upper_bound, smallest_root, sphere_basis,
+                         sphere_points, sphere_product_rule, surface_area, upper_bound)
 
 S3 = 1.0 / math.sqrt(3.0)
 
@@ -806,6 +807,15 @@ _INTEGER_ARGUMENTS = {
     "density_grid resolution": (lambda k: density_grid(_motzkin_grid_density(), 3, k), 4),
     "grid_local_maxima resolution": (lambda k: grid_local_maxima(
         density_grid(_motzkin_grid_density(), 3, 4), k), 4),
+    "surface_area n": (surface_area, 3),
+    "ball_constant d": (lambda k: ball_constant(k, 1.5), 2),
+    "interval_moment k": (lambda k: interval_moment(k, 0.5), 4),
+    "MomentOracle n": (lambda k: MomentOracle(k).n, 3),
+    "moment exponent": (lambda k: MomentOracle(3).moment((k, 2, 0)), 2),
+    "moment_fraction exponent": (lambda k: MomentOracle(3).moment_fraction((2, k, 0)), 2),
+    "jacobi_matrix d": (lambda k: jacobi_matrix(JacobiParams(1.0, 1.0), k).offdiag, 4),
+    "smallest_root d": (lambda k: smallest_root(JacobiParams(1.0, 1.0), k), 4),
+    "gauss_rule d": (lambda k: gauss_rule(0.5, k).nodes, 3),
 }
 
 

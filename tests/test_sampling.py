@@ -1,0 +1,47 @@
+"""Sphere sampling: scipy.stats loads on the first sample, and the points are fixed.
+
+The import checks need an interpreter that has not loaded scipy.stats yet,
+so they run in a child process started from the directory that holds the
+imported package.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import spherebound
+
+_CHILD = r"""
+import json, sys
+import numpy as np
+import spherebound, spherebound.cli
+
+def loaded():
+    return {name: name in sys.modules for name in ("scipy.stats", "scipy.special")}
+
+out = {"import": loaded()}
+spherebound.sphere_points(8, 3)
+out["first_sample"] = loaded()
+
+from scipy.special import ndtri
+from scipy.stats import qmc
+out["same_points"] = {}
+for n in range(2, 7):
+    u = qmc.Sobol(d=n, scramble=True, seed=11).random_base2(12)
+    g = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
+    ref = g / np.linalg.norm(g, axis=1)[:, None]
+    got = spherebound.sphere_points(4096, n, seed=11)
+    out["same_points"][n] = bool(np.array_equal(got, ref))
+print(json.dumps(out))
+"""
+
+
+def test_scipy_stats_loads_on_the_first_sample_and_points_are_unchanged():
+    proc = subprocess.run([sys.executable, "-c", _CHILD], capture_output=True, text=True,
+                          timeout=120, cwd=Path(spherebound.__file__).resolve().parents[1])
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["import"] == {"scipy.stats": False, "scipy.special": False}
+    assert out["first_sample"] == {"scipy.stats": True, "scipy.special": True}
+    assert out["same_points"] == {str(n): True for n in range(2, 7)}
