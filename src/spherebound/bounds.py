@@ -13,6 +13,7 @@ eigenvalue unchanged and keeps large levels tractable.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -253,18 +254,21 @@ def _solve_block_hp(Afrac, Bfrac, dps):
 
 
 def _lower_solve(L, X):
-    """L^{-1} X for a lower-triangular mpmath L, column by column."""
+    """L^{-1} X for a lower-triangular mpmath L, column by column.
+
+    Works on row lists, so each entry is read from the mpmath matrices once.
+    """
     import mpmath as mp
 
-    m, cols = X.rows, X.cols
-    Y = mp.matrix(m, cols)
-    for j in range(cols):
-        for i in range(m):
-            s = X[i, j]
+    L = L.tolist()
+    Y = X.tolist()
+    for j in range(len(Y[0])):
+        for i, row in enumerate(L):
+            s = Y[i][j]
             for k in range(i):
-                s -= L[i, k] * Y[k, j]
-            Y[i, j] = s / L[i, i]
-    return Y
+                s -= row[k] * Y[k][j]
+            Y[i][j] = s / row[i]
+    return mp.matrix(Y)
 
 
 def _pick_winner(results, size):
@@ -404,7 +408,7 @@ def rational_upper_bound(p, q, n, r, dps=None):
     n, r = _check_args(n, r, [p, q], dps)
     if not q:
         raise CertificationError("denominator is the zero polynomial")
-    samples = q.eval_many(sphere_points(4096, n, seed=11))
+    samples = q.eval_many(_positivity_sample(n))
     if samples.min() <= 0.0:
         raise CertificationError(
             f"q not certified positive at level r={r}: sampled value "
@@ -414,6 +418,15 @@ def rational_upper_bound(p, q, n, r, dps=None):
         return _solve_pencil(p.terms, q.terms, basis, r, dps)
     except ConditioningError as exc:
         raise CertificationError(f"q not certified positive at level r={r}: {exc}") from exc
+
+
+@functools.cache
+def _positivity_sample(n):
+    """rational_upper_bound's 4,096 Sobol points (seed 11) on S^{n-1}, drawn
+    once per dimension and read-only, since every call shares them."""
+    points = sphere_points(4096, n, seed=11)
+    points.flags.writeable = False
+    return points
 
 
 def extract_density(res):

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import check_level
 from .moments import MomentOracle, surface_area
 from .orthopoly import gauss_rule
-from .polynomials import Polynomial, as_index
+from .polynomials import EVAL_BLOCK, Polynomial, as_index
 
 
 @dataclass(frozen=True)
@@ -88,36 +88,64 @@ def sphere_product_rule(n, d):
         return QuadratureRule(nodes=base.nodes,
                               weights=base.weights * surface_area(2),
                               exactness_degree=2 * d - 1)
-    theta1 = math.pi * np.arange(2 * d) / d
-    angle_grids = [theta1]
-    weight_grids = [np.full(2 * d, math.pi / d)]
-    for i in range(2, n):
-        g = gauss_rule((i - 1) / 2.0, d)
-        angle_grids.append(np.arccos(g.nodes[::-1]))
-        weight_grids.append(g.weights[::-1])
-    # open meshes (np.ix_) broadcast over the ij-ordered product grid, whose
-    # flattening gives the node order, first angle slowest; the trig
-    # functions run on the 1-D grids only
-    k = n - 1
-    cos = np.ix_(*[np.cos(t) for t in angle_grids])
-    sin = np.ix_(*[np.sin(t) for t in angle_grids])
-    # generalized spherical coordinates: x_n = cos t_{n-1},
-    # x_j = cos t_{j-1} * prod_{i>=j} sin t_i for 1 < j < n, x_1 = prod sin t_i,
-    # with the sines multiplied in from the last angle down
-    nodes = np.empty(tuple(len(t) for t in angle_grids) + (n,))
-    nodes[..., k] = cos[k - 1]
-    suffix = 1.0
-    for j in range(k - 1, 0, -1):
-        suffix = suffix * sin[j]
-        nodes[..., j] = cos[j - 1] * suffix
-    nodes[..., 0] = suffix * sin[0]
+    angle_grids, weight_grids = _product_grids(n, d)
+    nodes = np.empty((2 * d ** (n - 1), n))
+    row = 0
+    for block in _node_blocks(angle_grids):
+        nodes[row:row + len(block)] = block
+        row += len(block)
     weights = 1.0
     for w in np.ix_(*weight_grids):
         weights = weights * w
     weights = weights.reshape(-1)
     weights *= surface_area(n) / weights.sum()
-    return QuadratureRule(nodes=nodes.reshape(-1, n), weights=weights,
-                          exactness_degree=2 * d - 1)
+    return QuadratureRule(nodes=nodes, weights=weights, exactness_degree=2 * d - 1)
+
+
+def _product_grids(n, d):
+    """Angle and weight grids of the product rule on S^{n-1}, n >= 3."""
+    angle_grids = [math.pi * np.arange(2 * d) / d]
+    weight_grids = [np.full(2 * d, math.pi / d)]
+    for i in range(2, n):
+        g = gauss_rule((i - 1) / 2.0, d)
+        angle_grids.append(np.arccos(g.nodes[::-1]))
+        weight_grids.append(g.weights[::-1])
+    return angle_grids, weight_grids
+
+
+def _node_blocks(angle_grids):
+    """The product rule's nodes as consecutive (rows, n) blocks.
+
+    Rows come in ij order of the angle grids, first angle slowest.  A block
+    is a run of whole first-angle slices, d^(n-2) rows each, grouped until it
+    holds at least EVAL_BLOCK rows or the whole grid.
+    """
+    # open meshes (np.ix_) broadcast over the ij-ordered product grid; the
+    # trig functions run on the 1-D grids only
+    k = len(angle_grids)
+    n = k + 1
+    cos = np.ix_(*[np.cos(t) for t in angle_grids])
+    sin = np.ix_(*[np.sin(t) for t in angle_grids])
+    # generalized spherical coordinates: x_n = cos t_{n-1},
+    # x_j = cos t_{j-1} * prod_{i>=j} sin t_i for 1 < j < n, x_1 = prod sin t_i,
+    # with the sines multiplied in from the last angle down; only cos t_1 and
+    # sin t_1 vary along the first axis, so the suffix products are slice-sized
+    suffixes = {}
+    suffix = 1.0
+    for j in range(k - 1, 0, -1):
+        suffix = suffix * sin[j]
+        suffixes[j] = suffix
+    slice_shape = tuple(len(t) for t in angle_grids[1:])
+    per_block = max(1, -(-EVAL_BLOCK // math.prod(slice_shape)))
+    for start in range(0, len(angle_grids[0]), per_block):
+        rows = slice(start, start + per_block)
+        cos_b = [cos[0][rows]] + list(cos[1:])
+        block = np.empty((len(cos_b[0]),) + slice_shape + (n,))
+        block[..., k] = cos_b[k - 1]
+        for j in range(k - 1, 0, -1):
+            block[..., j] = cos_b[j - 1] * suffixes[j]
+        block[..., 0] = suffixes[1] * sin[0][rows]
+        yield block.reshape(-1, n)
 
 
 def max_exactness_error(rule, oracle=None):
@@ -165,7 +193,10 @@ def cubature_lower_bound(f, n, r, node_budget=5_000_000):
     On the circle an N-point equispaced rule is exact to trigonometric
     degree N - 1 only, so N must exceed deg f + 2r; the smallest odd such N
     is used (an odd grid never contains the antipode of a node, which keeps
-    linear-objective certificates strictly above -1).
+    linear-objective certificates strictly above -1).  On higher spheres the
+    product rule is never built: its nodes are generated and evaluated one
+    block of first-angle slices (at least EVAL_BLOCK rows) at a time, and no
+    weights are formed, so the working set is one block, not the whole rule.
     """
     n, r = check_level(n, r)
     if f.n != n:
@@ -173,13 +204,13 @@ def cubature_lower_bound(f, n, r, node_budget=5_000_000):
     if n == 2:
         count = max(1, f.degree + 2 * r + 1)
         rule = circle_rule(count + 1 if count % 2 == 0 else count)
-    else:
-        d = select_rule_degree(f.degree, r)
-        count = 2 * d * d ** (n - 2)
-        if count > node_budget:
-            raise ValueError(f"product rule needs {count} nodes, over the budget {node_budget}")
-        rule = sphere_product_rule(n, d)
-    return float(f.eval_many(rule.nodes).min())
+        return float(f.eval_many(rule.nodes).min())
+    d = select_rule_degree(f.degree, r)
+    count = 2 * d * d ** (n - 2)
+    if count > node_budget:
+        raise ValueError(f"product rule needs {count} nodes, over the budget {node_budget}")
+    angle_grids, _ = _product_grids(n, d)
+    return float(np.min([f.eval_many(block).min() for block in _node_blocks(angle_grids)]))
 
 
 def save_rule_csv(rule, fh):

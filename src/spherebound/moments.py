@@ -86,6 +86,8 @@ class MomentOracle:
         alpha = tuple(as_index(e, "exponent") for e in alpha)
         if len(alpha) != self.n:
             raise ValueError(f"multi-index length {len(alpha)}, expected {self.n}")
+        if any(e < 0 for e in alpha):
+            raise ValueError("negative exponent")
         if any(e % 2 for e in alpha):
             return Fraction(0)
         num = 1

@@ -1,5 +1,6 @@
 """Upper bounds from the moment pencil, densities, and rational objectives."""
 
+import functools
 import math
 
 from fractions import Fraction
@@ -382,7 +383,10 @@ class TestRational:
             rational_upper_bound(parse_poly("x1", 2), parse_poly("x1", 2), 2, 2)
 
     def test_indefinite_denominator_matrix_rejected(self, monkeypatch):
-        # q = x1 passes a sample that lies where x1 > 0, but A_q is indefinite
+        # q = x1 passes a sample that lies where x1 > 0, but A_q is indefinite;
+        # a fresh sample cache draws it and is dropped with the stub
+        monkeypatch.setattr(bounds, "_positivity_sample",
+                            functools.cache(bounds._positivity_sample.__wrapped__))
         monkeypatch.setattr(bounds, "sphere_points",
                             lambda count, n, seed=None: np.tile([1.0, 0.0], (count, 1)))
         x1 = parse_poly("x1", 2)
@@ -390,6 +394,27 @@ class TestRational:
             with pytest.raises(CertificationError, match="not certified positive") as info:
                 rational_upper_bound(x1, x1, 2, 2, dps=dps)
             assert "sampled value" not in str(info.value)
+
+    def test_positivity_sample_drawn_once_per_dimension(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_positivity_sample",
+                            functools.cache(bounds._positivity_sample.__wrapped__))
+        calls = []
+
+        def counting(count, n, seed=0):
+            calls.append((count, n, seed))
+            return sphere_points(count, n, seed=seed)
+
+        monkeypatch.setattr(bounds, "sphere_points", counting)
+        p, q = parse_poly("x1", 2), parse_poly("2 + x1", 2)
+        first = rational_upper_bound(p, q, 2, 3)
+        for r in (1, 2, 3):
+            rational_upper_bound(p, q, 2, r)
+        rational_upper_bound(parse_poly("x1", 3), parse_poly("2 + x3", 3), 3, 1)
+        assert calls == [(4096, 2, 11), (4096, 3, 11)]
+        assert rational_upper_bound(p, q, 2, 3).value == first.value
+        sample = bounds._positivity_sample(2)
+        assert not sample.flags.writeable
+        assert np.array_equal(sample, sphere_points(4096, 2, seed=11))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(CertificationError):

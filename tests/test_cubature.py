@@ -13,8 +13,10 @@ from spherebound import (JacobiParams, MomentOracle, circle_rule,
                          cubature_lower_bound, max_exactness_error, motzkin_form,
                          parse_poly, save_rule_csv, smallest_root, sphere_product_rule,
                          surface_area, upper_bound)
+from spherebound import cubature
 from spherebound.cubature import QuadratureRule, select_rule_degree
 from spherebound.orthopoly import gauss_rule
+from spherebound.polynomials import Polynomial
 
 
 class TestCircleRule:
@@ -234,9 +236,21 @@ class TestLowerBound:
             ub = upper_bound(f, 3, r).value
             assert lb <= ub + 1e-12
 
-    def test_node_budget_guard(self):
-        with pytest.raises(ValueError):
-            cubature_lower_bound(parse_poly("x5", 5), 5, 40)
+    def test_node_budget_guard(self, monkeypatch):
+        # the check comes before any grid: no Gauss rule, no node-sized array
+        # (the refused rule would hold 5.6 million nodes)
+        def no_grid(*args):
+            raise AssertionError("grid built before the budget check")
+
+        monkeypatch.setattr(cubature, "gauss_rule", no_grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the budget"):
+                cubature_lower_bound(parse_poly("x5", 5), 5, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_level_and_dimension_validated(self):
         f = parse_poly("x3", 3)
@@ -268,6 +282,42 @@ class TestLowerBound:
             for r in range(4, 21):
                 lb = cubature_lower_bound(f, n, r)
                 assert (1.0 + lb) * r * r >= 0.5
+
+
+def _random_quartic(n, seed):
+    rng = np.random.default_rng(seed)
+    terms = {tuple(int(e) for e in rng.multinomial(4, [1 / n] * n)): float(rng.normal())
+             for _ in range(8)}
+    return Polynomial(n, terms)
+
+
+# (n, r) with a quartic objective, so the rule has d = r + 3; the first of
+# each n fits in one block of _node_blocks, the second takes several, the
+# last one partly full
+@pytest.mark.parametrize("n, r, blocks", [(3, 0, 1), (3, 47, 2), (4, 1, 1), (4, 17, 4),
+                                          (5, 1, 1), (5, 4, 2), (6, 0, 1), (6, 3, 3),
+                                          (6, 6, 18)])
+def test_streamed_certificate_is_the_minimum_over_the_whole_rule(n, r, blocks):
+    f = _random_quartic(n, seed=10 * n + r)
+    d = select_rule_degree(f.degree, r)
+    assert d == r + 3
+    assert len(list(cubature._node_blocks(cubature._product_grids(n, d)[0]))) == blocks
+    whole = float(f.eval_many(sphere_product_rule(n, d).nodes).min())
+    assert cubature_lower_bound(f, n, r) == whole
+
+
+def test_certificate_working_set_is_one_block():
+    # the r = 9 rule on S^5 has 497,664 nodes (22.8 MiB); a block is one
+    # first-angle slice of 20,736
+    f = parse_poly("1.3*x1^4 + 1.3*x2^4 + 1.3*x3^4 + 1.3*x4^4 + 1.3*x5^4 + 1.3*x6^4", 6)
+    tracemalloc.start()
+    try:
+        value = cubature_lower_bound(f, 6, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert 1.3 / 6 <= value <= 1.3 / 6 + 0.05
 
 
 class TestExport:

@@ -137,6 +137,13 @@ class TestMonomialMoment:
         with pytest.raises(ValueError):
             o.moment((2, 0))
 
+    @pytest.mark.parametrize("alpha", [(-2, 4, 0), (-2, 0, 0)])
+    def test_negative_exponent_rejected(self, alpha):
+        o = MomentOracle(3)
+        for moment in (o.moment, o.moment_fraction):
+            with pytest.raises(ValueError, match="negative exponent"):
+                moment(alpha)
+
     def test_sampled_consistency_low_degrees(self):
         # every moment of degree <= 8 sits within 3 standard errors of a
         # quasirandom sample mean (conservative: scrambled-net error is smaller)
