@@ -3,7 +3,9 @@
 The basis at level r consists of all monomials x^alpha with |alpha| <= r and
 the last exponent at most 1; modulo the sphere relation these represent every
 polynomial of degree <= r on the sphere, and they are linearly independent
-there, so the Gram matrix is positive definite.
+there, so the Gram matrix is positive definite.  moment_matrix assembles
+localized moment matrices sum_g c_g M_g in float64, and gram_matrix_fraction
+the same matrices exactly, in Fractions, for the extended-precision solve.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -57,17 +60,15 @@ def sphere_basis(n, r):
     lexicographic order.
     """
     n, r = check_level(n, r)
-
-    @lru_cache(maxsize=None)
-    def tails(k, s):
-        # exponent tuples of length k and sum s with the last one at most 1,
-        # descending; with two coordinates left the first is s or s - 1
-        if k == 1:
-            return [(s,)]
-        lo = max(s - 1, 0) if k == 2 else 0
-        return [(e,) + t for e in range(s, lo - 1, -1) for t in tails(k - 1, s - e)]
-
-    elems = tuple(a for d in range(r + 1) for a in tails(n, d))
+    # tails[s]: the exponent tuples of length k and sum s with the last one
+    # at most 1, descending, for k = 2 (the first is s or s - 1) up to n;
+    # built bottom-up, since a recursive closure refers to itself and would
+    # leave its lists to the cycle collector
+    tails = [[(s, 0), (s - 1, 1)] if s else [(0, 0)] for s in range(r + 1)]
+    for _ in range(n - 2):
+        tails = [[(e,) + t for e in range(s, -1, -1) for t in tails[s - e]]
+                 for s in range(r + 1)]
+    elems = tuple(a for d in range(r + 1) for a in tails[d])
     return BasisSpec(n=n, r=r, elements=elems)
 
 
@@ -207,9 +208,28 @@ def moment_matrix(E1, E2, n, terms=None, chunk=512):
     return out
 
 
-def gram_matrix_fraction(elements, n, shift=None):
-    """Exact rational moment matrix over the listed exponent tuples."""
+def gram_matrix_fraction(elements, n, terms=None):
+    """Exact localized moment matrix sum_g c_g M_g over the listed exponent tuples.
+
+    The rational counterpart of moment_matrix with E1 = E2 = elements, as
+    lists of Fractions; terms is as there, each c_g taken as Fraction(c_g),
+    and defaults to {0: 1}.  Each distinct moment is computed once per call.
+    """
     oracle = MomentOracle(n)
-    g = (0,) * n if shift is None else tuple(shift)
-    return [[oracle.moment_fraction(tuple(x + y + z for x, y, z in zip(a, b, g)))
-             for b in elements] for a in elements]
+    if terms is None:
+        terms = {(0,) * n: 1}
+    terms = [(g, Fraction(c)) for g, c in terms.items()]
+    moments = {}
+    m = len(elements)
+    out = [[None] * m for _ in range(m)]
+    for i, a in enumerate(elements):
+        for j in range(i, m):
+            ab = [x + y for x, y in zip(a, elements[j])]
+            s = Fraction(0)
+            for g, c in terms:
+                alpha = tuple(x + y for x, y in zip(ab, g))
+                if alpha not in moments:
+                    moments[alpha] = oracle.moment_fraction(alpha)
+                s += c * moments[alpha]
+            out[i][j] = out[j][i] = s
+    return out

@@ -8,7 +8,9 @@ rational bound share one solver: the plain one is its q = 1 case.  Both
 matrices couple only exponent tuples whose parities match through some
 monomial of the numerator or denominator, so the pencil splits into
 independent blocks; the solver exploits that split, which leaves every
-eigenvalue unchanged and keeps large levels tractable.
+eigenvalue unchanged and keeps large levels tractable.  One loop over those
+blocks serves every objective and precision: a block is solved in float64,
+or with dps set from its exact A and B, one gram_matrix_fraction call each.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -135,19 +136,6 @@ def _parity_components(elements, shifts):
     return comps
 
 
-def _localized_block_fraction(terms, elements, n):
-    """Exact localized block sum_g c_g M_g over the listed exponent tuples."""
-    m = len(elements)
-    A = [[Fraction(0)] * m for _ in range(m)]
-    for gamma, c in terms.items():
-        cf = Fraction(c)
-        M = gram_matrix_fraction(elements, n, shift=gamma)
-        for i in range(m):
-            for j in range(m):
-                A[i][j] += cf * M[i][j]
-    return A
-
-
 def build_pencil(f, basis):
     """Assemble the whole pencil (A_f, B) over the given basis, unsplit."""
     if f.n != basis.n:
@@ -201,12 +189,8 @@ def _solve_block_hp(Afrac, Bfrac, dps):
 
     m = len(Bfrac)
     with mp.workdps(dps):
-        A = mp.matrix(m)
-        B = mp.matrix(m)
-        for i in range(m):
-            for j in range(m):
-                A[i, j] = mp.mpf(Afrac[i][j].numerator) / Afrac[i][j].denominator
-                B[i, j] = mp.mpf(Bfrac[i][j].numerator) / Bfrac[i][j].denominator
+        A = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row] for row in Afrac])
+        B = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row] for row in Bfrac])
         try:
             L = mp.cholesky(B)
         except ValueError as exc:
@@ -292,50 +276,15 @@ def _pick_winner(results, size):
     return lam0, coeffs, gap
 
 
-def _factored_blocks(den_terms, E, comps, r, dps):
-    """Each block's float A_den, with its 1-norm and reciprocal condition.
-
-    Each block is factored once by Cholesky, and dpocon estimates the
-    reciprocal 1-norm condition from that factor.  In float64 a block that
-    does not factor raises ConditioningError; with dps set its reciprocal
-    condition is 0.  E holds the basis exponents, one row per element.
-    Yields (comp, A_den block, norm, rcond).
-    """
-    for comp in comps:
-        B = moment_matrix(E[comp], E[comp], E.shape[1], terms=den_terms)
-        bnorm = float(np.linalg.norm(B, 1))
-        L, info = dpotrf(B.T, lower=1)
-        if info and dps is None:
-            raise ConditioningError(
-                f"B not numerically positive definite at level r={r}: Cholesky "
-                f"of a {len(comp)}x{len(comp)} block failed at leading minor "
-                f"{info}; retry with dps set")
-        rcond = dpocon(L, bnorm, uplo="L")[0] if info == 0 else 0.0
-        del L  # only the estimate needs it; freed before A is assembled
-        yield comp, B, bnorm, rcond
-
-
-def _bound_result(basis, r, value, coeffs, degenerate, norms):
-    """BoundResult with the 1-norm condition of the block-diagonal A_den.
-
-    norms holds each block's (||B_i||, rcond_i); the condition is
-    max ||B_i|| * max ||B_i^-1||, infinite when a block did not factor.
-    """
-    bmax = max(bnorm for bnorm, _ in norms)
-    bmin = min(rcond * bnorm for bnorm, rcond in norms)
-    cond = bmax / bmin if bmin > 0 else np.inf
-    return BoundResult(n=basis.n, r=r, value=value, coeffs=coeffs, basis=basis,
-                       condition_number=cond,
-                       condition_warning=bool(cond > COND_LIMIT),
-                       degenerate=bool(degenerate))
-
-
-def _solve_pencil(num_terms, den_terms, basis, r, dps):
+def _solve_pencil(num_terms, den_terms, basis, r, dps, constant=None):
     """Bound from the blockwise smallest eigenpair of the pencil (A_num, A_den).
 
-    The coefficient vector is A_den-normalized.  The float A_den blocks
-    come from _factored_blocks and give the condition number, even with
-    dps set; then the exact blocks are solved in extended precision.
+    The coefficient vector is A_den-normalized.  Each block B_i of the
+    float A_den is factored by Cholesky (a failure raises ConditioningError
+    in float64) and dpocon gives its reciprocal condition, so the condition
+    number is max ||B_i|| * max ||B_i^-1||, infinite if a block did not
+    factor.  A constant objective passes its value as constant: the pencil
+    is then c*B = lambda*B, and no block is solved.
     """
     n = basis.n
     elements = basis.elements
@@ -343,19 +292,41 @@ def _solve_pencil(num_terms, den_terms, basis, r, dps):
     comps = _parity_components(elements, list(num_terms) + list(den_terms))
     results = []
     norms = []
-    for comp, B, bnorm, rcond in _factored_blocks(den_terms, E, comps, r, dps):
-        norms.append((bnorm, rcond))
+    for comp in comps:
+        Ec = E[comp]
+        B = moment_matrix(Ec, Ec, n, terms=den_terms)
+        bnorm = float(np.linalg.norm(B, 1))
+        L, info = dpotrf(B.T, lower=1)
+        if info and dps is None:
+            raise ConditioningError(
+                f"B not numerically positive definite at level r={r}: Cholesky "
+                f"of a {len(comp)}x{len(comp)} block failed at leading minor "
+                f"{info}; retry with dps set")
+        norms.append((bnorm, dpocon(L, bnorm, uplo="L")[0] if info == 0 else 0.0))
+        del L  # only the estimate needs it; freed before A is assembled
+        if constant is not None:
+            continue
         if dps is None:
-            Ec = E[comp]
             w0, w1, vec = _solve_block(moment_matrix(Ec, Ec, n, terms=num_terms), B, r)
         else:
             elems_c = [elements[i] for i in comp]
-            w0, w1, vec = _solve_block_hp(
-                _localized_block_fraction(num_terms, elems_c, n),
-                _localized_block_fraction(den_terms, elems_c, n), dps)
+            w0, w1, vec = _solve_block_hp(gram_matrix_fraction(elems_c, n, num_terms),
+                                          gram_matrix_fraction(elems_c, n, den_terms), dps)
         results.append((w0, w1, vec, comp))
-    value, coeffs, gap = _pick_winner(results, len(elements))
-    return _bound_result(basis, r, value, coeffs, gap < GAP_TOL, norms)
+    if constant is None:
+        value, coeffs, gap = _pick_winner(results, len(elements))
+        degenerate = gap < GAP_TOL
+    else:
+        # every vector is optimal; the first basis vector is B-normalized
+        # since the Gram entry at 1,1 is 1
+        value, coeffs, degenerate = constant, np.zeros(len(elements)), len(elements) > 1
+        coeffs[0] = 1.0
+    bmax = max(bnorm for bnorm, _ in norms)
+    bmin = min(rcond * bnorm for bnorm, rcond in norms)
+    cond = bmax / bmin if bmin > 0 else np.inf
+    return BoundResult(n=n, r=r, value=value, coeffs=coeffs, basis=basis,
+                       condition_number=cond, condition_warning=bool(cond > COND_LIMIT),
+                       degenerate=bool(degenerate))
 
 
 def _check_args(n, r, polys, dps):
@@ -381,19 +352,8 @@ def upper_bound(f, n, r, dps=None):
     approaches 1/eps).
     """
     n, r = _check_args(n, r, [f], dps)
-    basis = sphere_basis(n, r)
-    if not f.is_constant():
-        return _solve_pencil(f.terms, _unit(n), basis, r, dps)
-    # the pencil is c*B = lambda*B, so no block is solved: every vector is
-    # optimal; pick the first basis vector (B-normalized since the Gram
-    # entry at 1,1 is 1).  B is still factored for its condition number.
-    unit = _unit(n)
-    comps = _parity_components(basis.elements, list(unit))
-    norms = [(bnorm, rcond) for _, _, bnorm, rcond in
-             _factored_blocks(unit, basis.exponent_array(), comps, r, dps)]
-    coeffs = np.zeros(len(basis))
-    coeffs[0] = 1.0
-    return _bound_result(basis, r, f.constant_term(), coeffs, len(basis) > 1, norms)
+    constant = f.constant_term() if f.is_constant() else None
+    return _solve_pencil(f.terms, _unit(n), sphere_basis(n, r), r, dps, constant)
 
 
 def rational_upper_bound(p, q, n, r, dps=None):

@@ -19,6 +19,10 @@ from .moments import MomentOracle, surface_area
 from .orthopoly import gauss_rule
 from .polynomials import EVAL_BLOCK, Polynomial, as_index
 
+# most nodes a product or circle rule may have; larger rules are refused
+# before any of their arrays is built
+NODE_BUDGET = 5_000_000
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -76,6 +80,8 @@ def sphere_product_rule(n, d):
     Uses the 2d-point equispaced grid in the first angle and the arccosines
     of d-point Gauss-Gegenbauer nodes (index (i-1)/2) in the remaining ones;
     node count is 2d * d^(n-2) and the weights sum to surface_area(n).
+    A rule of more than NODE_BUDGET nodes raises ValueError before any grid
+    is built.
     """
     n = as_index(n, "dimension")
     d = as_index(d, "parameter d")
@@ -83,6 +89,7 @@ def sphere_product_rule(n, d):
         raise ValueError("dimension must be at least 2")
     if d < 1:
         raise ValueError("parameter d must be at least 1")
+    _check_budget(2 * d ** (n - 1))
     if n == 2:
         base = circle_rule(2 * d)
         return QuadratureRule(nodes=base.nodes,
@@ -100,6 +107,11 @@ def sphere_product_rule(n, d):
     weights = weights.reshape(-1)
     weights *= surface_area(n) / weights.sum()
     return QuadratureRule(nodes=nodes, weights=weights, exactness_degree=2 * d - 1)
+
+
+def _check_budget(count):
+    if count > NODE_BUDGET:
+        raise ValueError(f"product rule needs {count} nodes, over the budget {NODE_BUDGET}")
 
 
 def _product_grids(n, d):
@@ -185,7 +197,7 @@ def select_rule_degree(f_degree, r):
     return max(1, (int(f_degree) + 2 * int(r) + 2) // 2)
 
 
-def cubature_lower_bound(f, n, r, node_budget=5_000_000):
+def cubature_lower_bound(f, n, r):
     """Certified lower bound on the level-r upper bound: min of f over a rule.
 
     The rule is chosen exact to degree deg f + 2r, so for any admissible
@@ -197,18 +209,18 @@ def cubature_lower_bound(f, n, r, node_budget=5_000_000):
     product rule is never built: its nodes are generated and evaluated one
     block of first-angle slices (at least EVAL_BLOCK rows) at a time, and no
     weights are formed, so the working set is one block, not the whole rule.
+    A rule of more than NODE_BUDGET nodes raises ValueError before any grid
+    is built.
     """
     n, r = check_level(n, r)
     if f.n != n:
         raise ValueError(f"polynomial dimension {f.n}, expected {n}")
     if n == 2:
-        count = max(1, f.degree + 2 * r + 1)
-        rule = circle_rule(count + 1 if count % 2 == 0 else count)
-        return float(f.eval_many(rule.nodes).min())
+        count = max(1, f.degree + 2 * r + 1) | 1
+        _check_budget(count)
+        return float(f.eval_many(circle_rule(count).nodes).min())
     d = select_rule_degree(f.degree, r)
-    count = 2 * d * d ** (n - 2)
-    if count > node_budget:
-        raise ValueError(f"product rule needs {count} nodes, over the budget {node_budget}")
+    _check_budget(2 * d ** (n - 1))
     angle_grids, _ = _product_grids(n, d)
     return float(np.min([f.eval_many(block).min() for block in _node_blocks(angle_grids)]))
 

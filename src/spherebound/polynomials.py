@@ -8,6 +8,7 @@ linear changes of variables, and a small text grammar (parser and printer).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 
@@ -138,7 +139,8 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
+            other = float(other)
             return Polynomial(self.n, {a: c * other for a, c in self.terms.items()})
         other = self._coerce(other)
         out = {}
@@ -164,7 +166,7 @@ class Polynomial:
             if other.n != self.n:
                 raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
             return other
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
             return Polynomial.constant(self.n, other)
         raise TypeError(f"cannot combine Polynomial with {type(other).__name__}")
 

@@ -1,8 +1,10 @@
 """Reduced monomial basis and moment-matrix pencil assembly."""
 
+import gc
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +43,17 @@ class TestSphereBasis:
                           for e in (0, 1) if sum(a) + e <= r),
                          key=lambda a: (sum(a), tuple(-v for v in a)))
             assert sphere_basis(n, r).elements == tuple(ref)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # the basis must be freed by reference counting alone: cyclic
+        # garbage would hold its working lists until a full collection
+        gc.collect()
+        gc.disable()
+        try:
+            sphere_basis(6, 9)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_exponent_array(self):
         b = sphere_basis(4, 2)
@@ -83,6 +96,48 @@ class TestGramMatrix:
             F = gram_matrix_fraction(b.elements, n)
             ref = np.array([[float(v) for v in row] for row in F])
             assert_allclose(B, ref, rtol=1e-14, atol=1e-16)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_exact_localized_matrix_is_the_per_entry_sum(self, n):
+        # each entry is sum_g Fraction(c_g) * moment(a + b + g), exactly, and
+        # within float rounding of moment_matrix on the same terms
+        rng = np.random.default_rng(500 + n)
+        o = MomentOracle(n)
+        for r in (0, 1, 2, 3):
+            elems = sphere_basis(n, r).elements
+            E = np.array(elems, dtype=np.int64)
+            for count in (1, 2, 4):
+                terms = _random_terms(rng, n, count, 3)
+                F = gram_matrix_fraction(elems, n, terms)
+                ref = [[sum((Fraction(c) * o.moment_fraction(tuple(x + y + z for x, y, z
+                                                                   in zip(a, b, g)))
+                             for g, c in terms.items()), Fraction(0))
+                        for b in elems] for a in elems]
+                assert F == ref
+                assert all(isinstance(v, Fraction) for row in F for v in row)
+                M = moment_matrix(E, E, n, terms=terms)
+                assert_allclose(np.array(F, dtype=float), M, rtol=1e-13, atol=0)
+        elems = sphere_basis(n, 2).elements
+        assert gram_matrix_fraction(elems, n, {}) == [[Fraction(0)] * len(elems)] * len(elems)
+        assert gram_matrix_fraction(elems, n, {(0,) * n: 1}) == gram_matrix_fraction(elems, n)
+        assert gram_matrix_fraction([], n) == []
+        assert gram_matrix_fraction([], n, _random_terms(rng, n, 2, 2)) == []
+
+    def test_exact_localized_matrix_computes_each_moment_once(self, monkeypatch):
+        calls = []
+        orig = MomentOracle.moment_fraction
+
+        def counting(self, alpha):
+            calls.append(tuple(alpha))
+            return orig(self, alpha)
+
+        monkeypatch.setattr(MomentOracle, "moment_fraction", counting)
+        elems = sphere_basis(3, 4).elements
+        terms = {(1, 0, 0): 0.5, (0, 0, 0): 2.0, (1, 2, 0): -1.0}
+        gram_matrix_fraction(elems, 3, terms)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {tuple(x + y + z for x, y, z in zip(a, b, g))
+                              for a in elems for b in elems for g in terms}
 
     def test_matches_quasirandom_sampling(self):
         b = sphere_basis(3, 3)

@@ -431,7 +431,7 @@ class TestRational:
 
     def test_assembles_only_the_localized_matrices(self, monkeypatch):
         # one float moment matrix for A_p and one for A_q in every block, no
-        # Gram matrix; exactly, one per term of p and of q
+        # Gram matrix; exactly, one for A_p and one for A_q as well
         p = parse_poly("x1", 2)
         q = parse_poly("2 + x1", 2)
         calls = {"float": 0, "exact": 0}
@@ -452,7 +452,7 @@ class TestRational:
         calls["float"] = 0
         res = rational_upper_bound(p, q, 2, 3, dps=30)
         # the float A_q of each block gives the condition estimate
-        assert calls == {"float": blocks, "exact": 3 * blocks}
+        assert calls == {"float": blocks, "exact": 2 * blocks}
         assert res.value == pytest.approx(expected.value, abs=1e-12)
 
     def test_json_payload_shape(self):
@@ -656,8 +656,8 @@ class TestAgainstReferences:
         elements = sphere_basis(n, r).elements
         for comp in bounds._parity_components(elements, list(p.terms) + list(den)):
             elems = [elements[i] for i in comp]
-            Afrac = bounds._localized_block_fraction(p.terms, elems, n)
-            Bfrac = bounds._localized_block_fraction(den, elems, n)
+            Afrac = bounds.gram_matrix_fraction(elems, n, p.terms)
+            Bfrac = bounds.gram_matrix_fraction(elems, n, den)
             w0, w1, vec = bounds._solve_block_hp(Afrac, Bfrac, dps)
             ref0, ref1, ref_vec = _solve_block_hp_reference(Afrac, Bfrac, dps)
             # the value is exact to float64; w1 is the float64 guess, and

@@ -166,6 +166,12 @@ class TestCubatureCommand:
         assert rows.shape == (2 * 4 * 4, 4)
         assert np.isclose(rows[:, 3].sum(), surface_area(3), rtol=1e-12)
 
+    def test_over_budget_is_input_failure(self, tmp_path, capsys):
+        out = tmp_path / "rule.csv"
+        assert main(["cubature", "--n", "6", "--d", "100", "--csv", str(out)]) == 2
+        assert "over the budget" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReproduceCommand:
     def test_passes_and_reports(self, tmp_path, capsys):

@@ -238,19 +238,28 @@ class TestLowerBound:
 
     def test_node_budget_guard(self, monkeypatch):
         # the check comes before any grid: no Gauss rule, no node-sized array
-        # (the refused rule would hold 5.6 million nodes)
+        # (the refused certificate rule would hold 5.6 million nodes, the
+        # refused product rule 2 * 100^5, 894 GiB of nodes)
         def no_grid(*args):
             raise AssertionError("grid built before the budget check")
 
         monkeypatch.setattr(cubature, "gauss_rule", no_grid)
+        monkeypatch.setattr(cubature, "circle_rule", no_grid)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="over the budget"):
                 cubature_lower_bound(parse_poly("x5", 5), 5, 40)
+            with pytest.raises(ValueError, match="over the budget"):
+                cubature_lower_bound(parse_poly("x1", 2), 2, cubature.NODE_BUDGET // 2)
+            for n, d in ((6, 100), (3, 1582), (2, cubature.NODE_BUDGET)):
+                with pytest.raises(ValueError, match="over the budget"):
+                    sphere_product_rule(n, d)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+        # d = 1582 is the smallest refused on S^2
+        assert 2 * 1581 ** 2 <= cubature.NODE_BUDGET < 2 * 1582 ** 2
 
     def test_level_and_dimension_validated(self):
         f = parse_poly("x3", 3)

@@ -198,6 +198,21 @@ class TestArithmetic:
         p = parse_poly("x1^2 - 2", 2)
         assert (3.0 * p).terms == {(2, 0): 3.0, (0, 0): -6.0}
 
+    def test_numpy_scalars_on_either_side(self):
+        p = parse_poly("x1^2 - 0.1", 2)
+        two = Polynomial.constant(2, 2.0)
+        for s in (np.int64(2), np.int32(2), np.float32(2), np.float64(2), 2, 2.0):
+            assert p * s == s * p == p * two
+            assert p + s == s + p == p + two
+            assert p - s == p - two
+            assert s - p == two - p
+        # the product is taken in float64, not in the scalar's precision
+        assert (p * np.float32(3)).terms == {(2, 0): 3.0, (0, 0): -0.1 * 3.0}
+        for bad in ("2", None, 1j, np.array([2.0])):
+            for op in (lambda: p * bad, lambda: p + bad, lambda: p - bad):
+                with pytest.raises(TypeError, match="cannot combine"):
+                    op()
+
     def test_non_finite_coefficient_rejected(self):
         for c in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="not finite"):
