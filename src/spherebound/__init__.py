@@ -11,13 +11,13 @@ from .basis import BasisSpec, moment_matrix, sphere_basis
 from .bounds import BoundResult, CertificationError, ConditioningError, Density, Pencil, \
     build_pencil, density_grid, extract_density, grid_local_maxima, rational_upper_bound, \
     upper_bound
-from .cubature import QuadratureRule, circle_rule, cubature_lower_bound, \
-    max_exactness_error, save_rule_csv, sphere_product_rule
+from .cubature import circle_rule, cubature_lower_bound, max_exactness_error, save_rule_csv, \
+    sphere_product_rule
 from .harness import MOTZKIN_TEXT, TABLE1_REFERENCE, RateFit, SweepRecord, fit_rate, \
     load_sweep_csv, motzkin_form, reproduce_table1, save_density_csv, save_sweep_csv, sweep
 from .moments import MomentOracle, ball_constant, interval_moment, surface_area
-from .orthopoly import JacobiParams, TridiagonalMatrix, gauss_rule, jacobi_matrix, \
-    smallest_root
+from .orthopoly import JacobiParams, QuadratureRule, TridiagonalMatrix, gauss_rule, \
+    jacobi_matrix, smallest_root
 from .polynomials import ParseError, Polynomial, parse_poly
 from .sampling import sphere_points
 

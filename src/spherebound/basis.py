@@ -20,6 +20,10 @@ import numpy as np
 
 from .moments import MomentOracle
 
+# moment_matrix assembles about ASSEMBLY_ROWS * m2 entries at a time, to
+# bound its working memory
+ASSEMBLY_ROWS = 512
+
 
 @dataclass(frozen=True)
 class BasisSpec:
@@ -36,10 +40,11 @@ class BasisSpec:
         return np.array(self.elements, dtype=np.int64)
 
 
-def check_level(n, r):
+def check_level(n, r, *polys):
     """Validated (n, r): integers (by operator.index) with n >= 2 and r >= 0.
 
     Floats are rejected, not truncated, so 2.5 never silently becomes 2.
+    Each polynomial given must have dimension n.
     """
     try:
         n = operator.index(n)
@@ -50,6 +55,9 @@ def check_level(n, r):
         raise ValueError("dimension must be at least 2")
     if r < 0:
         raise ValueError("level must be nonnegative")
+    for p in polys:
+        if p.n != n:
+            raise ValueError(f"polynomial dimension {p.n}, expected {n}")
     return n, r
 
 
@@ -94,7 +102,7 @@ def _parity_classes(P):
     return cls.reshape(-1)
 
 
-def moment_matrix(E1, E2, n, terms=None, chunk=512):
+def moment_matrix(E1, E2, n, terms=None):
     """Localized moment matrix sum_g c_g M_g over S^{n-1}, in one call.
 
     E1, E2 are integer exponent arrays of shapes (m1, n) and (m2, n);
@@ -104,8 +112,8 @@ def moment_matrix(E1, E2, n, terms=None, chunk=512):
     if any P_k is odd, else
     exp(c0 + sum_k lgamma((P_k + 1)/2) - lgamma((|P| + n)/2)).  The set-up
     (lgamma tables, codes and parity classes of the rows) is shared by all
-    terms, and rows are assembled in chunks of about chunk * m2 entries to
-    bound memory.
+    terms, and rows are assembled in chunks of about ASSEMBLY_ROWS * m2
+    entries to bound memory.
 
     Where P is even, P_k / 2 = ceil(a_k / 2) + floor(c_k / 2) for a = E1[i]
     and c = E2[j] + g, so a mixed-radix code of these half-exponents is
@@ -181,17 +189,18 @@ def moment_matrix(E1, E2, n, terms=None, chunk=512):
         # per term, one gather from the table times c_g; the first term
         # lands in out directly, its + 0.0 being the zero the sum starts
         # from (1.0 * table + 0.0 is the table itself)
+        rows = ASSEMBLY_ROWS
         for t, c in enumerate(coeffs):
             scaled = table if c == 1.0 else table * c + 0.0
-            for lo in range(0, m1, chunk):
-                code = cu[lo:lo + chunk, None] + cv[t]
+            for lo in range(0, m1, rows):
+                code = cu[lo:lo + rows, None] + cv[t]
                 if t:
-                    out[lo:lo + chunk] += np.take(scaled, code, mode="clip")
+                    out[lo:lo + rows] += np.take(scaled, code, mode="clip")
                 else:
-                    np.take(scaled, code, mode="clip", out=out[lo:lo + chunk])
+                    np.take(scaled, code, mode="clip", out=out[lo:lo + rows])
         return out
     # all terms at once, so the chunks hold fewer rows
-    rows = max(1, chunk // len(coeffs))
+    rows = max(1, ASSEMBLY_ROWS // len(coeffs))
     d2 = C.sum(axis=2)[:, None, :]
     for lo in range(0, m1, rows):
         hi = min(lo + rows, m1)

@@ -25,6 +25,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpocon, dpotrf
 
 from .basis import BasisSpec, check_level, gram_matrix_fraction, moment_matrix, sphere_basis
+from .cubature import NODE_BUDGET
 from .polynomials import Polynomial, as_index
 from .sampling import sphere_points
 
@@ -276,7 +277,7 @@ def _pick_winner(results, size):
     return lam0, coeffs, gap
 
 
-def _solve_pencil(num_terms, den_terms, basis, r, dps, constant=None):
+def _solve_pencil(num_terms, den_terms, basis, dps, constant=None):
     """Bound from the blockwise smallest eigenpair of the pencil (A_num, A_den).
 
     The coefficient vector is A_den-normalized.  Each block B_i of the
@@ -286,7 +287,7 @@ def _solve_pencil(num_terms, den_terms, basis, r, dps, constant=None):
     factor.  A constant objective passes its value as constant: the pencil
     is then c*B = lambda*B, and no block is solved.
     """
-    n = basis.n
+    n, r = basis.n, basis.r
     elements = basis.elements
     E = basis.exponent_array()
     comps = _parity_components(elements, list(num_terms) + list(den_terms))
@@ -330,11 +331,8 @@ def _solve_pencil(num_terms, den_terms, basis, r, dps, constant=None):
 
 
 def _check_args(n, r, polys, dps):
-    """Validated (n, r) shared by the entry points; dps must reach DPS_MIN."""
-    n, r = check_level(n, r)
-    for p in polys:
-        if p.n != n:
-            raise ValueError(f"polynomial dimension {p.n}, expected {n}")
+    """check_level's (n, r), with dps an integer of at least DPS_MIN if set."""
+    n, r = check_level(n, r, *polys)
     if dps is not None and (not isinstance(dps, numbers.Integral) or dps < DPS_MIN):
         raise ValueError(f"dps must be an integer number of digits of at least "
                          f"{DPS_MIN} (float64 precision), got {dps!r}")
@@ -353,7 +351,7 @@ def upper_bound(f, n, r, dps=None):
     """
     n, r = _check_args(n, r, [f], dps)
     constant = f.constant_term() if f.is_constant() else None
-    return _solve_pencil(f.terms, _unit(n), sphere_basis(n, r), r, dps, constant)
+    return _solve_pencil(f.terms, _unit(n), sphere_basis(n, r), dps, constant)
 
 
 def rational_upper_bound(p, q, n, r, dps=None):
@@ -375,7 +373,7 @@ def rational_upper_bound(p, q, n, r, dps=None):
             f"{samples.min():.3e} on the sphere")
     basis = sphere_basis(n, r)
     try:
-        return _solve_pencil(p.terms, q.terms, basis, r, dps)
+        return _solve_pencil(p.terms, q.terms, basis, dps)
     except ConditioningError as exc:
         raise CertificationError(f"q not certified positive at level r={r}: {exc}") from exc
 
@@ -405,13 +403,17 @@ def density_grid(den, n, resolution=100):
 
     Rows are (theta, phi, h) with theta in [0, pi] and phi in [0, 2 pi],
     both sampled at resolution+1 equispaced values, theta varying slowest;
-    the point map is x = (sin t sin p, sin t cos p, cos t).
+    the point map is x = (sin t sin p, sin t cos p, cos t).  A grid of more
+    than NODE_BUDGET points raises ValueError before any array is built.
     """
     if as_index(n, "dimension") != 3 or den.basis.n != 3:
         raise ValueError("density grids are defined for n = 3 only")
     resolution = as_index(resolution, "resolution")
     if resolution < 1:
         raise ValueError("resolution must be positive")
+    if (resolution + 1) ** 2 > NODE_BUDGET:
+        raise ValueError(f"density grid needs {(resolution + 1) ** 2} points, "
+                         f"over the budget {NODE_BUDGET}")
     theta = np.linspace(0.0, np.pi, resolution + 1)
     phi = np.linspace(0.0, 2.0 * np.pi, resolution + 1)
     T, P = np.meshgrid(theta, phi, indexing="ij")

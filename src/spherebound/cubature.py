@@ -3,59 +3,25 @@
 The product rule combines an equispaced angular grid with Gauss-Gegenbauer
 nodes in generalized spherical coordinates and integrates every polynomial
 of degree at most 2d-1 exactly; that threshold is sharp and is certified by
-tests against the closed-form moments. Every rule is a QuadratureRule: its
+tests against the closed-form moments. Every rule is an orthopoly
+QuadratureRule (the interval Gauss rules there are its first producer): its
 nodes, its positive weights and its certified exactness degree, nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import check_level
 from .moments import MomentOracle, surface_area
-from .orthopoly import gauss_rule
+from .orthopoly import QuadratureRule, gauss_rule
 from .polynomials import EVAL_BLOCK, Polynomial, as_index
 
-# most nodes a product or circle rule may have; larger rules are refused
-# before any of their arrays is built
+# most nodes a product or circle rule (and most points a density grid) may
+# have; larger ones are refused before any of their arrays is built
 NODE_BUDGET = 5_000_000
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes, positive weights, and the certified polynomial exactness degree.
-
-    Interval rules have 1-D nodes, reals in [-1, 1]; circle and sphere rules
-    have one point per row of a 2-D nodes array.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    exactness_degree: int
-
-    @property
-    def dim(self):
-        return 1 if self.nodes.ndim == 1 else self.nodes.shape[1]
-
-    @property
-    def size(self):
-        return len(self.weights)
-
-    def total_mass(self):
-        return float(self.weights.sum())
-
-    def integrate(self, p):
-        """Apply the rule to a polynomial (1 variable for interval rules)."""
-        if self.dim == 1:
-            if p.n != 1:
-                raise ValueError("interval rules integrate univariate polynomials")
-            vals = p.eval_many(self.nodes[:, None])
-        else:
-            vals = p.eval_many(self.nodes)
-        return float(self.weights @ vals)
 
 
 def circle_rule(d):
@@ -194,7 +160,7 @@ def _monomials_up_to(n, deg):
 
 def select_rule_degree(f_degree, r):
     """Smallest d with 2d - 1 >= deg f + 2r."""
-    return max(1, (int(f_degree) + 2 * int(r) + 2) // 2)
+    return max(1, (as_index(f_degree, "degree") + 2 * as_index(r, "level") + 2) // 2)
 
 
 def cubature_lower_bound(f, n, r):
@@ -212,9 +178,7 @@ def cubature_lower_bound(f, n, r):
     A rule of more than NODE_BUDGET nodes raises ValueError before any grid
     is built.
     """
-    n, r = check_level(n, r)
-    if f.n != n:
-        raise ValueError(f"polynomial dimension {f.n}, expected {n}")
+    n, r = check_level(n, r, f)
     if n == 2:
         count = max(1, f.degree + 2 * r + 1) | 1
         _check_budget(count)

@@ -1,7 +1,7 @@
 """Experiment harness: level sweeps, rate fits, and reference reproductions.
 
-All file exports live here (sweep CSV, density CSV) next to the routines
-that produce them.
+The sweep and density CSV exports live here next to the routines that
+produce them; the rule CSV export, save_rule_csv, lives in cubature.
 """
 
 from __future__ import annotations

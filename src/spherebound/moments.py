@@ -1,9 +1,12 @@
 """Closed-form moments of the uniform measure on the unit sphere.
 
 All sphere moments are taken against the normalized (probability) surface
-measure.  Gamma ratios are evaluated in log space so degrees up to ~30 and
-dimensions up to ~10 stay well inside double range.  An exact rational
-variant backs the optional high-precision pencil solves.
+measure.  MomentOracle holds the one monomial moment formula, in exact
+rationals: moment_fraction backs the extended-precision pencil solves, and
+moment is its value correctly rounded to float.  The surface area, the
+ball constant and the interval moments are Gamma ratios evaluated in log
+space, so degrees up to ~30 and dimensions up to ~10 stay well inside
+double range.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polynomials import as_index
+from .polynomials import _check_exponents, as_index
 
 _LOG_PI = math.log(math.pi)
 
@@ -65,29 +68,15 @@ class MomentOracle:
         self.n = n
 
     def moment(self, alpha):
-        """Normalized moment of x^alpha; zero when any exponent is odd."""
-        alpha = tuple(as_index(e, "exponent") for e in alpha)
-        if len(alpha) != self.n:
-            raise ValueError(f"multi-index length {len(alpha)}, expected {self.n}")
-        if any(e < 0 for e in alpha):
-            raise ValueError("negative exponent")
-        if any(e % 2 for e in alpha):
-            return 0.0
-        s = sum(alpha)
-        if s == 0:
-            return 1.0
-        log = math.lgamma(0.5 * self.n) - math.lgamma(0.5 * (s + self.n))
-        for e in alpha:
-            log += math.lgamma(0.5 * (e + 1)) - 0.5 * _LOG_PI
-        return math.exp(log)
+        """Normalized moment of x^alpha, the exact moment_fraction rounded to float."""
+        return float(self.moment_fraction(alpha))
 
     def moment_fraction(self, alpha):
-        """Exact rational moment: prod (a_i - 1)!! / prod_{k=1}^{s/2} (n + 2k - 2)."""
-        alpha = tuple(as_index(e, "exponent") for e in alpha)
-        if len(alpha) != self.n:
-            raise ValueError(f"multi-index length {len(alpha)}, expected {self.n}")
-        if any(e < 0 for e in alpha):
-            raise ValueError("negative exponent")
+        """Exact rational moment: prod (a_i - 1)!! / prod_{k=1}^{s/2} (n + 2k - 2).
+
+        Zero when any exponent is odd.
+        """
+        alpha = _check_exponents(self.n, alpha)
         if any(e % 2 for e in alpha):
             return Fraction(0)
         num = 1

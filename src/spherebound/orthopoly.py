@@ -2,7 +2,9 @@
 
 The recurrence coefficients are taken in symmetric (normalized) form, so the
 Jacobi matrix is symmetric tridiagonal, roots are its eigenvalues, and Gauss
-weights fall out of the eigenvectors (Golub-Welsch).
+weights fall out of the eigenvectors (Golub-Welsch).  QuadratureRule, the
+type of every rule in the package, lives here with gauss_rule, its first
+producer; the circle and sphere rules of cubature build on both.
 """
 
 from __future__ import annotations
@@ -14,6 +16,30 @@ from scipy.linalg import eigh_tridiagonal
 
 from .moments import ball_constant
 from .polynomials import as_index
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Nodes, positive weights, and the certified polynomial exactness degree.
+
+    Interval rules have 1-D nodes, reals in [-1, 1]; circle and sphere rules
+    have one point per row of a 2-D nodes array.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    exactness_degree: int
+
+    @property
+    def dim(self):
+        return 1 if self.nodes.ndim == 1 else self.nodes.shape[1]
+
+    @property
+    def size(self):
+        return len(self.weights)
+
+    def total_mass(self):
+        return float(self.weights.sum())
 
 
 @dataclass(frozen=True)
@@ -84,8 +110,6 @@ def gauss_rule(lam, d):
     Exact for polynomials of degree <= 2d-1; weights sum to the weight's
     total mass ball_constant(1, lam).
     """
-    from .cubature import QuadratureRule  # deferred to avoid an import cycle
-
     J = jacobi_matrix(JacobiParams.gegenbauer(lam), d)
     nodes, vecs = J.eigen_system()
     weights = vecs[0, :] ** 2 * ball_constant(1, lam)

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from conftest import random_poly, random_sphere
 from spherebound import (MomentOracle, Polynomial, build_pencil, motzkin_form,
                          parse_poly, sphere_basis, sphere_points)
+from spherebound import basis as basis_module
 from spherebound.basis import _lgamma_tables, gram_matrix_fraction, moment_matrix
 from spherebound.bounds import _parity_components
 
@@ -293,13 +294,14 @@ class TestMomentMatrixAssembly:
     """moment_matrix against the tensor reduction and the exact moments."""
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_bit_identical_on_random_rectangular(self, n):
+    def test_bit_identical_on_random_rectangular(self, n, monkeypatch):
         rng = np.random.default_rng(100 + n)
         nonzero = zero = 0
         for m1, m2, chunk in [(37, 23, 512), (37, 23, 8), (1, 9, 512), (0, 5, 512), (6, 0, 4)]:
+            monkeypatch.setattr(basis_module, "ASSEMBLY_ROWS", chunk)
             for shift in (None, tuple(int(v) for v in rng.integers(0, 4, size=n))):
                 E1, E2 = _random_exponents(rng, m1, m2, n, 6, shift)
-                M = moment_matrix(E1, E2, n, terms=_single(shift), chunk=chunk)
+                M = moment_matrix(E1, E2, n, terms=_single(shift))
                 ref = _moment_matrix_reference(E1, E2, n, shift=shift, chunk=chunk)
                 assert M.shape == (m1, m2)
                 assert np.array_equal(M, ref)
@@ -401,16 +403,17 @@ class TestLocalizedKernel:
     """moment_matrix with a multi-term mapping against the per-term sum."""
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_bit_identical_to_per_term_sum_on_random_rectangular(self, n):
+    def test_bit_identical_to_per_term_sum_on_random_rectangular(self, n, monkeypatch):
         rng = np.random.default_rng(300 + n)
         negative = 0
         for m1, m2, chunk in [(37, 23, 512), (37, 23, 8), (23, 37, 8), (1, 9, 512),
                               (9, 1, 512)]:
+            monkeypatch.setattr(basis_module, "ASSEMBLY_ROWS", chunk)
             for count in (1, 2, 5):
                 terms = _random_terms(rng, n, count, 3)
                 negative += sum(c < 0 for c in terms.values())
                 E1, E2 = _random_exponents(rng, m1, m2, n, 6, next(iter(terms)))
-                M = moment_matrix(E1, E2, n, terms=terms, chunk=chunk)
+                M = moment_matrix(E1, E2, n, terms=terms)
                 assert np.array_equal(M, _localized_block_reference(terms, E1, E2, n, chunk))
         assert negative > 0
 
@@ -445,10 +448,11 @@ class TestLocalizedKernel:
         E = rng.integers(0, 4, size=(4, 3))
         assert np.array_equal(moment_matrix(E, E, 3, terms={}), np.zeros((4, 4)))
 
-    def test_parity_beyond_64_coordinates(self):
+    def test_parity_beyond_64_coordinates(self, monkeypatch):
         # parity classes of 70 coordinates, with shifts that flip the last ones
         n = 70
         rng = np.random.default_rng(70)
+        monkeypatch.setattr(basis_module, "ASSEMBLY_ROWS", int(rng.integers(1, 4)))
         E1 = np.zeros((5, n), dtype=np.int64)
         E1[1, 66] = 1
         E1[2, 66] = 2
@@ -460,7 +464,7 @@ class TestLocalizedKernel:
         E2[3, 69] = 1
         terms = {(0,) * n: 1.0, tuple(int(k == 69) for k in range(n)): -2.0,
                  tuple(int(k in (66, 69)) for k in range(n)): 0.5}
-        M = moment_matrix(E1, E2, n, terms=terms, chunk=int(rng.integers(1, 4)))
+        M = moment_matrix(E1, E2, n, terms=terms)
         ref = _localized_block_reference(terms, E1, E2, n)
         assert np.array_equal(M, ref)
         assert 0 < np.count_nonzero(M) < M.size

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 from fractions import Fraction
 
@@ -296,6 +297,23 @@ class TestDensity:
         den = extract_density(upper_bound(parse_poly("x1", 2), 2, 2))
         with pytest.raises(ValueError):
             density_grid(den, 2, resolution=10)
+
+    def test_grid_budget_refused_before_any_array(self, monkeypatch):
+        # 100,001^2 points at about 80 B each would ask for 800 GB
+        den = extract_density(upper_bound(parse_poly("x3", 3), 3, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the budget"):
+                density_grid(den, 3, resolution=100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # the budget counts the (resolution + 1)^2 grid points
+        monkeypatch.setattr(bounds, "NODE_BUDGET", 121)
+        assert density_grid(den, 3, resolution=10).shape == (121, 3)
+        with pytest.raises(ValueError, match="needs 144 points"):
+            density_grid(den, 3, resolution=11)
 
     def test_mode_structure_flips_between_levels(self):
         f = motzkin_form()
@@ -798,6 +816,14 @@ def _bound_cases(draw):
 
 
 class TestBoundProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 5), st.integers(0, 2 ** 32 - 1))
+    def test_monotone_in_level_on_random_objectives(self, n, r, seed):
+        # every level-r density is also a level-(r + 1) density
+        f = random_poly(n, 4, np.random.default_rng(seed))
+        value = upper_bound(f, n, r).value
+        assert upper_bound(f, n, r + 1).value <= value + 1e-10 * (1.0 + abs(value))
+
     @settings(max_examples=60, deadline=None)
     @given(_bound_cases())
     def test_invariance_majorization_and_certificate(self, case):

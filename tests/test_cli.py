@@ -154,6 +154,13 @@ class TestDensityGridCommand:
                      "--csv", str(tmp_path / "g.csv")])
         assert code == 2
 
+    def test_over_budget_is_input_failure(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert main(["density-grid", "--poly", "x3", "--n", "3", "--r", "1",
+                     "--resolution", "100000", "--csv", str(out)]) == 2
+        assert "over the budget" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCubatureCommand:
     def test_csv_mass(self, tmp_path):

@@ -123,8 +123,7 @@ class TestMonomialMoment:
             o = MomentOracle(n)
             for _ in range(30):
                 alpha = tuple(int(2 * v) for v in rng.integers(0, 7, size=n))
-                assert_allclose(o.moment(alpha), float(o.moment_fraction(alpha)),
-                                rtol=1e-13)
+                assert o.moment(alpha) == float(o.moment_fraction(alpha))
 
     def test_exact_rational_values(self):
         o = MomentOracle(3)

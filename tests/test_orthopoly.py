@@ -1,5 +1,7 @@
 """Jacobi/Gegenbauer recurrences, extremal roots, and Gauss rules."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -8,7 +10,9 @@ from numpy.testing import assert_allclose
 
 from spherebound import (JacobiParams, ball_constant, gauss_rule, interval_moment,
                          jacobi_matrix, smallest_root)
-from spherebound.orthopoly import TridiagonalMatrix
+import spherebound
+from spherebound import cubature, orthopoly
+from spherebound.orthopoly import QuadratureRule, TridiagonalMatrix
 
 
 class TestJacobiParams:
@@ -144,6 +148,15 @@ class TestGaussRule:
         exact10 = interval_moment(10, 0.5) * mass
         assert abs(float(w @ t ** 8) - exact8) <= 1e-14
         assert abs(float(w @ t ** 10) - exact10) > 1e-6
+
+    def test_rule_type_is_defined_here_without_an_import_cycle(self):
+        # the public paths all name the one class, and orthopoly, which
+        # defines it, imports nothing from cubature, which uses it
+        assert isinstance(gauss_rule(0.5, 3), QuadratureRule)
+        assert spherebound.QuadratureRule is cubature.QuadratureRule is QuadratureRule
+        imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(orthopoly)))
+                    if isinstance(node, ast.ImportFrom)}
+        assert not any(m and m.endswith("cubature") for m in imported)
 
     def test_eigen_system_consistent(self):
         T = jacobi_matrix(JacobiParams(0.0, 0.0), 7)
