@@ -18,11 +18,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpocon, dpotrf
+from scipy.linalg.lapack import dpocon, dpotrf, dsygst
 
 from .basis import BasisSpec, check_level, gram_matrix_fraction, moment_matrix, sphere_basis
 from .cubature import NODE_BUDGET
@@ -151,24 +152,18 @@ def _unit(n):
     return {(0,) * n: 1.0}
 
 
-def _solve_block(A, B, r):
-    """Two smallest eigenpairs of A v = lambda B v for a positive definite B.
-
-    A and B must be exactly symmetric and are overwritten: their transposes
-    are the Fortran-ordered arrays LAPACK works in, so neither is copied.
-    """
-    m = len(B)
-    hi = min(1, m - 1)
+def _solve_block(r, a, b=None, **kwargs):
+    """Two smallest eigenvalues (the second None if 1x1) and first eigenvector
+    of a's lower triangle, or of the pencil (a, b) for a positive definite b."""
+    hi = min(1, len(a) - 1)
     try:
-        w, V = scipy.linalg.eigh(A.T, B.T, subset_by_index=[0, hi],
-                                 overwrite_a=True, overwrite_b=True)
+        w, V = scipy.linalg.eigh(a, b, subset_by_index=[0, hi], **kwargs)
     except scipy.linalg.LinAlgError as exc:
-        # B has already factored, so this is the eigensolver not converging
+        # b has already factored, so this is the eigensolver not converging
         raise ConditioningError(
             f"generalized eigensolve failed at level r={r}: {exc}; retry with dps set"
         ) from exc
-    second = float(w[1]) if hi == 1 else None
-    return float(w[0]), second, V[:, 0].copy()
+    return float(w[0]), (float(w[1]) if hi == 1 else None), V[:, 0].copy()
 
 
 def _solve_block_hp(Afrac, Bfrac, dps):
@@ -277,57 +272,109 @@ def _pick_winner(results, size):
     return lam0, coeffs, gap
 
 
-def _solve_pencil(num_terms, den_terms, basis, dps, constant=None):
-    """Bound from the blockwise smallest eigenpair of the pencil (A_num, A_den).
+def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, start=None):
+    """(BoundResult, seconds) per level r_lo..basis.r (default basis.r) of (A_num, A_den).
 
-    The coefficient vector is A_den-normalized.  Each block B_i of the
-    float A_den is factored by Cholesky (a failure raises ConditioningError
-    in float64) and dpocon gives its reciprocal condition, so the condition
-    number is max ||B_i|| * max ||B_i^-1||, infinite if a block did not
-    factor.  A constant objective passes its value as constant: the pencil
-    is then c*B = lambda*B, and no block is solved.
+    Coefficients are A_den-normalized.  Each block B_i of the float A_den is
+    factored by Cholesky (in float64 a failure raises ConditioningError for
+    level basis.r before the block is solved at any level), and the
+    condition number is max ||B_i|| * max ||B_i^-1|| from dpocon, inf if a
+    block did not factor.  A constant objective passes its value as
+    constant: c*B = lambda*B needs no solve.  The basis comes degree by
+    degree, so a lower level's part of a block is its leading k x k block,
+    with factor L[:k, :k] and reduced matrix M[:k, :k], M = L^-1 A L^-T.
+    Level basis.r is solved by eigh(A, B) as if alone, M by one dsygst (or,
+    with dps, leading slices of one exact A and B).  Times run from start
+    (default: the call): the top level carries the shared work, level
+    basis.r - 1 the dsygst, each level its own dpocon and solve.
     """
-    n, r = basis.n, basis.r
-    elements = basis.elements
+    marks = [time.perf_counter() if start is None else start]
+    n, top = basis.n, basis.r
+    levels = range(top if r_lo is None else r_lo, top + 1)
     E = basis.exponent_array()
-    comps = _parity_components(elements, list(num_terms) + list(den_terms))
-    results = []
-    norms = []
+    # the level sizes: elements come in order of degree
+    ends = np.searchsorted(E.sum(axis=1), levels, side="right")
+    comps = _parity_components(basis.elements, list(num_terms) + list(den_terms))
+    results, norms, spent = [[] for _ in levels], [[] for _ in levels], [0.0] * len(levels)
+    solve_float = dps is None and constant is None
+
+    def lap(i):
+        marks.append(time.perf_counter())
+        spent[i] += marks[-1] - marks[-2]
+
     for comp in comps:
+        ks = np.searchsorted(comp, ends).tolist()
+        below = ks[-2] if len(ks) > 1 else 0
         Ec = E[comp]
+        A = moment_matrix(Ec, Ec, n, terms=num_terms) if solve_float else None
         B = moment_matrix(Ec, Ec, n, terms=den_terms)
-        bnorm = float(np.linalg.norm(B, 1))
+        # top level first, so its lap takes the shared work; the norms'
+        # temporaries come before L exists
+        for i in range(len(ks) - 1, -1, -1):
+            if ks[i]:
+                norms[i].append(float(np.linalg.norm(B[:ks[i], :ks[i]], 1)))
+            lap(i)
         L, info = dpotrf(B.T, lower=1)
         if info and dps is None:
             raise ConditioningError(
-                f"B not numerically positive definite at level r={r}: Cholesky "
-                f"of a {len(comp)}x{len(comp)} block failed at leading minor "
-                f"{info}; retry with dps set")
-        norms.append((bnorm, dpocon(L, bnorm, uplo="L")[0] if info == 0 else 0.0))
-        del L  # only the estimate needs it; freed before A is assembled
-        if constant is not None:
-            continue
-        if dps is None:
-            w0, w1, vec = _solve_block(moment_matrix(Ec, Ec, n, terms=num_terms), B, r)
+                f"B not numerically positive definite at level r={top}: Cholesky of a "
+                f"{len(comp)}x{len(comp)} block failed at leading minor {info}; retry with dps set")
+        for i in range(len(ks) - 1, -1, -1):
+            k = ks[i]
+            if k:  # a leading factor is complete below the minor that failed
+                bnorm = norms[i][-1]
+                norms[i][-1] = (bnorm, dpocon(L[:k, :k], bnorm, uplo="L")[0]
+                                if info == 0 or k < info else 0.0)
+            lap(i)
+        if solve_float:
+            # the lower levels' block of A, copied: the top level's solve
+            # overwrites A and B (their transposes are LAPACK's F-order arrays)
+            M = A[:below, :below].copy(order="F")
+            results[-1].append((*_solve_block(top, A.T, B.T, overwrite_a=True,
+                                              overwrite_b=True), comp))
+            del A, B
+            lap(-1)
+            if below:
+                M = dsygst(M, L[:below, :below], lower=1, overwrite_a=1)[0]
+                lap(-2)
+        elif constant is None:
+            elems_c = [basis.elements[i] for i in comp]
+            Afrac, Bfrac = (gram_matrix_fraction(elems_c, n, t) for t in (num_terms, den_terms))
+            lap(-1)
+        for i in range(len(ks) - 1 - solve_float, -1, -1):
+            k = ks[i]
+            if k and solve_float:
+                w0, w1, q = _solve_block(levels[i], M[:k, :k])
+                # v = L[:k, :k]^-T q, solved with all of L and q padded by zeros
+                v = scipy.linalg.solve_triangular(L, np.pad(q, (0, len(L) - k)),
+                                                  trans="T", lower=True)
+                results[i].append((w0, w1, v[:k], comp[:k]))
+            elif k and constant is None:
+                results[i].append((*_solve_block_hp([row[:k] for row in Afrac[:k]],
+                                                    [row[:k] for row in Bfrac[:k]], dps),
+                                   comp[:k]))
+            lap(i)
+        L = M = None  # freed before the next block is assembled
+    out = []
+    for i, r in enumerate(levels):
+        size = int(ends[i])
+        if constant is None:
+            value, coeffs, gap = _pick_winner(results[i], size)
+            degenerate = gap < GAP_TOL
         else:
-            elems_c = [elements[i] for i in comp]
-            w0, w1, vec = _solve_block_hp(gram_matrix_fraction(elems_c, n, num_terms),
-                                          gram_matrix_fraction(elems_c, n, den_terms), dps)
-        results.append((w0, w1, vec, comp))
-    if constant is None:
-        value, coeffs, gap = _pick_winner(results, len(elements))
-        degenerate = gap < GAP_TOL
-    else:
-        # every vector is optimal; the first basis vector is B-normalized
-        # since the Gram entry at 1,1 is 1
-        value, coeffs, degenerate = constant, np.zeros(len(elements)), len(elements) > 1
-        coeffs[0] = 1.0
-    bmax = max(bnorm for bnorm, _ in norms)
-    bmin = min(rcond * bnorm for bnorm, rcond in norms)
-    cond = bmax / bmin if bmin > 0 else np.inf
-    return BoundResult(n=n, r=r, value=value, coeffs=coeffs, basis=basis,
-                       condition_number=cond, condition_warning=bool(cond > COND_LIMIT),
-                       degenerate=bool(degenerate))
+            # every vector is optimal; e_1 is B-normalized (the Gram entry at 1,1 is 1)
+            value, coeffs, degenerate = constant, np.zeros(size), size > 1
+            coeffs[0] = 1.0
+        bmax = max(bnorm for bnorm, _ in norms[i])
+        bmin = min(rcond * bnorm for bnorm, rcond in norms[i])
+        cond = bmax / bmin if bmin > 0 else np.inf
+        res = BoundResult(n=n, r=r, value=value, coeffs=coeffs,
+                          basis=BasisSpec(n=n, r=r, elements=basis.elements[:size]),
+                          condition_number=cond, condition_warning=bool(cond > COND_LIMIT),
+                          degenerate=bool(degenerate))
+        lap(i)
+        out.append((res, spent[i]))
+    return out
 
 
 def _check_args(n, r, polys, dps):
@@ -349,9 +396,19 @@ def upper_bound(f, n, r, dps=None):
     arithmetic instead of float64 (needed when the Gram condition number
     approaches 1/eps).
     """
-    n, r = _check_args(n, r, [f], dps)
+    return level_bounds(f, n, r, r, dps)[0][0]
+
+
+def level_bounds(f, n, r_lo, r_hi, dps=None):
+    """(upper_bound(f, n, r, dps), seconds) for r = r_lo..r_hi from the level-r_hi
+    blocks (see _solve_pencil): exact at r_hi and with dps, else up to rounding."""
+    start = time.perf_counter()
+    n, r_lo = _check_args(n, r_lo, [f], dps)
+    _, r_hi = check_level(n, r_hi)
+    if r_lo > r_hi:
+        raise ValueError("empty level range")
     constant = f.constant_term() if f.is_constant() else None
-    return _solve_pencil(f.terms, _unit(n), sphere_basis(n, r), dps, constant)
+    return _solve_pencil(f.terms, _unit(n), sphere_basis(n, r_hi), dps, constant, r_lo, start)
 
 
 def rational_upper_bound(p, q, n, r, dps=None):
@@ -373,7 +430,7 @@ def rational_upper_bound(p, q, n, r, dps=None):
             f"{samples.min():.3e} on the sphere")
     basis = sphere_basis(n, r)
     try:
-        return _solve_pencil(p.terms, q.terms, basis, dps)
+        return _solve_pencil(p.terms, q.terms, basis, dps)[0][0]
     except ConditioningError as exc:
         raise CertificationError(f"q not certified positive at level r={r}: {exc}") from exc
 
@@ -398,6 +455,19 @@ def extract_density(res):
     return Density(h=g * g, r=res.r, basis=res.basis, coeffs=res.coeffs.copy())
 
 
+def check_grid(resolution, *dims):
+    """density_grid's resolution, checked (with each dimension 3) before any solve."""
+    if any(as_index(d, "dimension") != 3 for d in dims):
+        raise ValueError("density grids are defined for n = 3 only")
+    resolution = as_index(resolution, "resolution")
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
+    if (resolution + 1) ** 2 > NODE_BUDGET:
+        raise ValueError(f"density grid needs {(resolution + 1) ** 2} points, "
+                         f"over the budget {NODE_BUDGET}")
+    return resolution
+
+
 def density_grid(den, n, resolution=100):
     """Tabulate the density on a spherical-coordinate grid (n = 3 only).
 
@@ -406,14 +476,7 @@ def density_grid(den, n, resolution=100):
     the point map is x = (sin t sin p, sin t cos p, cos t).  A grid of more
     than NODE_BUDGET points raises ValueError before any array is built.
     """
-    if as_index(n, "dimension") != 3 or den.basis.n != 3:
-        raise ValueError("density grids are defined for n = 3 only")
-    resolution = as_index(resolution, "resolution")
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
-    if (resolution + 1) ** 2 > NODE_BUDGET:
-        raise ValueError(f"density grid needs {(resolution + 1) ** 2} points, "
-                         f"over the budget {NODE_BUDGET}")
+    resolution = check_grid(resolution, n, den.basis.n)
     theta = np.linspace(0.0, np.pi, resolution + 1)
     phi = np.linspace(0.0, 2.0 * np.pi, resolution + 1)
     T, P = np.meshgrid(theta, phi, indexing="ij")

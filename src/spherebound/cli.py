@@ -13,8 +13,8 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .bounds import CertificationError, ConditioningError, density_grid, extract_density, \
-    rational_upper_bound, upper_bound
+from .bounds import CertificationError, ConditioningError, check_grid, density_grid, \
+    extract_density, rational_upper_bound, upper_bound
 from .cubature import save_rule_csv, sphere_product_rule
 from .harness import TABLE1_REFERENCE, TABLE1_TOLERANCE, fit_rate, reproduce_table1, \
     save_density_csv, save_sweep_csv, sweep
@@ -138,6 +138,7 @@ def _cmd_sweep(args):
 
 def _cmd_density_grid(args):
     f = _read_poly(args.poly, args.n)
+    check_grid(args.resolution, args.n)
     res = upper_bound(f, args.n, args.r, dps=args.dps)
     grid = density_grid(extract_density(res), args.n, args.resolution)
     with _output(args.csv) as fh:

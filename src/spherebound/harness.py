@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import check_level
-from .bounds import upper_bound
+from .bounds import level_bounds, upper_bound  # noqa: F401 (kept for wrappers by name)
 from .cubature import cubature_lower_bound
 from .polynomials import parse_poly
 
@@ -49,25 +48,22 @@ class RateFit:
 def sweep(f, n, r_lo, r_hi, certificates=True, dps=None):
     """Upper bounds (and cubature certificates) for each level in r_lo..r_hi.
 
-    Certificates are skipped when the product rule would exceed the node
-    budget of cubature_lower_bound.
+    The bounds come from level_bounds: level r_hi's runtime_ms carries the
+    shared assembly and factorization, level r_hi - 1's the dsygst, every
+    other level's only its own solve, and each its own certificate, which
+    is skipped when its rule would exceed cubature_lower_bound's budget.
     """
-    n, r_lo = check_level(n, r_lo)
-    _, r_hi = check_level(n, r_hi)
-    if r_lo > r_hi:
-        raise ValueError("empty level range")
     records = []
-    for r in range(r_lo, r_hi + 1):
+    for res, seconds in level_bounds(f, n, r_lo, r_hi, dps=dps):
         start = time.perf_counter()
-        res = upper_bound(f, n, r, dps=dps)
         lower = None
         if certificates:
             try:
-                lower = cubature_lower_bound(f, n, r)
+                lower = cubature_lower_bound(f, n, res.r)
             except ValueError:
                 lower = None
-        elapsed = (time.perf_counter() - start) * 1000.0
-        records.append(SweepRecord(r=r, bound=res.value, lower_certificate=lower,
+        elapsed = (seconds + time.perf_counter() - start) * 1000.0
+        records.append(SweepRecord(r=res.r, bound=res.value, lower_certificate=lower,
                                    basis_size=len(res.basis), runtime_ms=elapsed))
     return records
 

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 import tracemalloc
 
 from fractions import Fraction
@@ -15,13 +16,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_poly
-from spherebound import bounds
+from spherebound import bounds, harness
 from spherebound import (CertificationError, ConditioningError, JacobiParams, MomentOracle,
                          Polynomial, ball_constant, build_pencil, circle_rule,
                          cubature_lower_bound, density_grid, extract_density, gauss_rule,
                          grid_local_maxima, interval_moment, jacobi_matrix, motzkin_form,
                          parse_poly, rational_upper_bound, smallest_root, sphere_basis,
-                         sphere_points, sphere_product_rule, surface_area, upper_bound)
+                         sphere_points, sphere_product_rule, surface_area, sweep,
+                         upper_bound)
+from spherebound.bounds import level_bounds
 
 S3 = 1.0 / math.sqrt(3.0)
 
@@ -837,6 +840,105 @@ class TestBoundProperties:
         assert upper_bound(f + p * p, n, r).value >= value - tol
         # the cubature certificate bounds the level-r value from below
         assert cubature_lower_bound(f, n, r) <= value + tol
+
+
+# (f, n, r_lo, r_hi): x5 from r_lo = 0 and 1, where parity classes are
+# still missing; x1 x2 x3 + x1 x2, whose level-1 blocks {1} and {x3} are
+# joined at r_hi only through classes of degree 2 and 3; and a dense
+# quartic form on S^3
+_LEVEL_CASES = [
+    (Polynomial.variable(5, 5), 5, 0, 9),
+    (Polynomial.variable(5, 5), 5, 1, 7),
+    (parse_poly("x1*x2*x3 + x1*x2", 3), 3, 0, 6),
+    (random_poly(4, 4, np.random.default_rng(5), terms=12), 4, 1, 6),
+]
+
+
+class TestLevelBounds:
+    """level_bounds against per-level upper_bound calls."""
+
+    @pytest.mark.parametrize("f, n, lo, hi", _LEVEL_CASES)
+    def test_top_level_is_upper_bound_and_lower_levels_agree(self, f, n, lo, hi):
+        got = level_bounds(f, n, lo, hi)
+        assert [res.r for res, _ in got] == list(range(lo, hi + 1))
+        for res, seconds in got:
+            ref = upper_bound(f, n, res.r)
+            assert seconds > 0.0
+            assert res.basis == ref.basis
+            if res.r == hi:
+                assert res.value == ref.value
+                assert res.coeffs.tobytes() == ref.coeffs.tobytes()
+                assert res.condition_number == ref.condition_number
+                assert (res.condition_warning, res.degenerate) == \
+                    (ref.condition_warning, ref.degenerate)
+            elif not ref.condition_warning:
+                tol = 1e-10 * (1.0 + abs(ref.value))
+                assert abs(res.value - ref.value) <= tol
+                # the back-transformed vector is the level's own optimal density
+                pen = build_pencil(f, res.basis)
+                c = res.coeffs
+                assert abs(c @ pen.B @ c - 1.0) <= 1e-9
+                assert abs(c @ pen.A @ c - res.value) <= tol
+
+    @pytest.mark.parametrize("f, n, lo, hi", [
+        (parse_poly("x1", 2), 2, 1, 8),
+        (parse_poly("x1*x2*x3 + x1*x2", 3), 3, 0, 3),
+        (Polynomial.variable(5, 5), 5, 0, 2),
+    ])
+    def test_dps_levels_equal_per_level_calls(self, f, n, lo, hi):
+        for res, _ in level_bounds(f, n, lo, hi, dps=30):
+            assert res.value == upper_bound(f, n, res.r, dps=30).value
+
+    def test_constant_objective(self):
+        for res, seconds in level_bounds(Polynomial.constant(3, 2.5), 3, 0, 4):
+            ref = upper_bound(Polynomial.constant(3, 2.5), 3, res.r)
+            assert (res.value, res.degenerate) == (ref.value, ref.degenerate) == \
+                (2.5, res.r > 0)
+            assert res.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert seconds > 0.0
+
+    def test_one_assembly_pair_and_one_pencil_solve_per_top_level_block(self, monkeypatch):
+        calls = {"moment_matrix": 0, "pencil": 0}
+        moment_matrix, eigh = bounds.moment_matrix, scipy.linalg.eigh
+
+        def counted_moment_matrix(*args, **kwargs):
+            calls["moment_matrix"] += 1
+            return moment_matrix(*args, **kwargs)
+
+        def counted_eigh(a, b=None, *args, **kwargs):
+            calls["pencil"] += b is not None
+            return eigh(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "moment_matrix", counted_moment_matrix)
+        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        f = Polynomial.variable(5, 5)
+        blocks = bounds._parity_components(sphere_basis(5, 16).elements,
+                                           list(f.terms) + [(0,) * 5])
+        start = time.perf_counter()
+        records = sweep(f, 5, 4, 16, certificates=False)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        # level by level this was 416 assemblies and 208 pencil solves
+        assert len(blocks) == 16
+        assert calls == {"moment_matrix": 32, "pencil": 16}
+        assert all(rec.runtime_ms > 0.0 for rec in records)
+        assert sum(rec.runtime_ms for rec in records) <= wall_ms
+
+    def test_sweep_fails_at_the_top_level_without_per_level_solves(self, monkeypatch):
+        # the level-21 Gram matrix of S^2 does not factor in float64; levels
+        # 18..20 do, but are neither assembled nor solved on their own
+        def fail(*args, **kwargs):
+            raise AssertionError("no level is solved on its own")
+
+        monkeypatch.setattr(harness, "upper_bound", fail)
+        calls = []
+        moment_matrix = bounds.moment_matrix
+        monkeypatch.setattr(bounds, "moment_matrix",
+                            lambda E1, *a, **k: calls.append(len(E1)) or moment_matrix(E1, *a, **k))
+        with pytest.raises(ConditioningError, match=r"level r=21: Cholesky"):
+            sweep(parse_poly("x3", 3), 3, 18, 21, certificates=False)
+        blocks = bounds._parity_components(sphere_basis(3, 21).elements, [(0, 0, 1), (0, 0, 0)])
+        assert len(calls) <= 2 * len(blocks)
+        assert set(calls) <= {len(c) for c in blocks}
 
 
 def _motzkin_grid_density():

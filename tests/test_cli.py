@@ -11,6 +11,7 @@ import pytest
 
 import spherebound
 from spherebound import MOTZKIN_TEXT, surface_area, upper_bound
+from spherebound import cli
 from spherebound.cli import main
 from spherebound.polynomials import parse_poly
 
@@ -157,6 +158,18 @@ class TestDensityGridCommand:
     def test_over_budget_is_input_failure(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         assert main(["density-grid", "--poly", "x3", "--n", "3", "--r", "1",
+                     "--resolution", "100000", "--csv", str(out)]) == 2
+        assert "over the budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_over_budget_is_refused_before_the_bound_is_solved(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the grid budget is checked first")
+
+        monkeypatch.setattr(cli, "upper_bound", fail)
+        out = tmp_path / "g.csv"
+        assert main(["density-grid", "--poly", "x3", "--n", "3", "--r", "8", "--dps", "40",
                      "--resolution", "100000", "--csv", str(out)]) == 2
         assert "over the budget" in capsys.readouterr().err
         assert not out.exists()
