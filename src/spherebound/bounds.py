@@ -11,6 +11,8 @@ independent blocks; the solver exploits that split, which leaves every
 eigenvalue unchanged and keeps large levels tractable.  One loop over those
 blocks serves every objective and precision: a block is solved in float64,
 or with dps set from its exact A and B, one gram_matrix_fraction call each.
+Blocks that a permutation of x1..x_{n-1} fixing the numerator and the
+denominator maps onto each other have one spectrum, and are solved once.
 """
 
 from __future__ import annotations
@@ -59,11 +61,13 @@ class BoundResult:
     eigenvalue with gap below GAP_TOL, where the density is non-unique and
     the reported one is the solver's canonical choice; with dps set and a
     multiple eigenvalue inside a block, that is the vector the inverse
-    iteration converges to from the float64 guess.  condition_number is
-    a LAPACK dpocon estimate of the 1-norm condition of the float64
-    constraint matrix, taken from its Cholesky factor, even when dps is set
-    (inf when that factorization fails), so a condition_warning on a dps
-    result means that float64 alone would not have been enough.
+    iteration converges to from the float64 guess.  It is always set when a
+    coordinate permutation fixing the objective maps the winning block onto
+    another: the eigenvalue is then multiple in exact arithmetic.
+    condition_number is a LAPACK dpocon estimate of the 1-norm condition of
+    the float64 constraint matrix, taken from its Cholesky factor, even when
+    dps is set (inf when that factorization fails), so a condition_warning
+    on a dps result means that float64 alone would not have been enough.
     """
 
     n: int
@@ -109,33 +113,56 @@ class Density:
     coeffs: np.ndarray
 
 
-def _parity_components(elements, shifts):
-    """Indices of the pencil's independent blocks under exponent parity.
+def _symmetry_classes(n, term_sets):
+    """Classes of x1..x_{n-1} whose transpositions leave every term set, with
+    its exact coefficients, unchanged, then [n - 1] (the basis caps x_n's
+    exponent); None if every class is a single coordinate.  (i j) and (j k)
+    give (i k), so one test per class suffices."""
+    classes = []
+    for j in range(n - 1):
+        for c in classes:
+            swap = list(range(n))
+            swap[c[0]], swap[j] = j, c[0]
+            if all(t.get(tuple(a[k] for k in swap)) == v for t in term_sets for a, v in t.items()):
+                c.append(j)
+                break
+        else:
+            classes.append([j])
+    return classes + [[n - 1]] if len(classes) < n - 1 else None
+
+
+def _parity_components(elements, shifts, classes=None):
+    """Indices of the pencil's independent blocks under exponent parity, and their keys.
 
     Two basis elements interact iff their parities differ by the parity of
     some shift (monomial of the numerator or denominator); the components
     of that graph give a block structure shared by every matrix in the
-    pencil.  A depth-first search over parity classes, taken in order of
-    first appearance, lists the blocks by their smallest index.
+    pencil.  A search over parity classes, taken in order of first
+    appearance, lists the blocks by their smallest index.  A block's key is
+    its size and the least, over its parity vectors, of their odd counts per
+    coordinate class (None: each coordinate alone).  Permutations within
+    _symmetry_classes map the basis onto itself and a block onto a block,
+    so two blocks share a key exactly when one maps onto the other.
     """
-    classes = {}
+    by_parity = {}
     for i, a in enumerate(elements):
-        classes.setdefault(tuple(e & 1 for e in a), []).append(i)
+        by_parity.setdefault(tuple(e & 1 for e in a), []).append(i)
     flips = {tuple(e & 1 for e in g) for g in shifts}
-    comps = []
-    while classes:
-        # reached classes leave the dict; the first one left starts the next block
-        stack = [next(iter(classes))]
-        idx = classes.pop(stack[0])
-        while stack:
-            p = stack.pop()
+    comps, keys = [], []
+    while by_parity:
+        # reached classes leave the dict, and are visited as they are appended
+        reached = [next(iter(by_parity))]
+        idx = by_parity.pop(reached[0])
+        for p in reached:
             for g in flips:
                 q = tuple(a ^ b for a, b in zip(p, g))
-                if q in classes:
-                    idx += classes.pop(q)
-                    stack.append(q)
+                if q in by_parity:
+                    idx += by_parity.pop(q)
+                    reached.append(q)
         comps.append(np.sort(np.array(idx, dtype=np.intp)))
-    return comps
+        keys.append((len(idx), min(tuple(sum(p[k] for k in c) for c in classes) if classes
+                                   else p for p in reached)))
+    return comps, keys
 
 
 def build_pencil(f, basis):
@@ -284,7 +311,10 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
     degree, so a lower level's part of a block is its leading k x k block,
     with factor L[:k, :k] and reduced matrix M[:k, :k], M = L^-1 A L^-T.
     Level basis.r is solved by eigh(A, B) as if alone, M by one dsygst (or,
-    with dps, leading slices of one exact A and B).  Times run from start
+    with dps, leading slices of one exact A and B).  A block that a
+    permutation of x1..x_{n-1} fixing both term sets maps onto an earlier
+    one (same key) is not assembled, factored or solved: it repeats that
+    block's eigenvalues at every level, and never wins.  Times run from start
     (default: the call): the top level carries the shared work, level
     basis.r - 1 the dsygst, each level its own dpocon and solve.
     """
@@ -294,15 +324,22 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
     E = basis.exponent_array()
     # the level sizes: elements come in order of degree
     ends = np.searchsorted(E.sum(axis=1), levels, side="right")
-    comps = _parity_components(basis.elements, list(num_terms) + list(den_terms))
+    comps, keys = _parity_components(basis.elements, list(num_terms) + list(den_terms),
+                                     _symmetry_classes(n, [num_terms, den_terms]))
     results, norms, spent = [[] for _ in levels], [[] for _ in levels], [0.0] * len(levels)
+    orbits = {}  # key -> per level, the eigenvalues of the orbit's first block, no vector
     solve_float = dps is None and constant is None
 
     def lap(i):
         marks.append(time.perf_counter())
         spent[i] += marks[-1] - marks[-2]
 
-    for comp in comps:
+    for comp, key in zip(comps, keys):
+        if key in orbits:  # repeating its first block's norms would move no max or min
+            for res, copies in zip(results, orbits[key]):
+                res += copies
+            continue
+        first = [len(res) for res in results]
         ks = np.searchsorted(comp, ends).tolist()
         below = ks[-2] if len(ks) > 1 else 0
         Ec = E[comp]
@@ -355,6 +392,8 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
                                    comp[:k]))
             lap(i)
         L = M = None  # freed before the next block is assembled
+        orbits[key] = [[(*res[:2], None, None) for res in level[j:]]
+                       for level, j in zip(results, first)]
     out = []
     for i, r in enumerate(levels):
         size = int(ends[i])

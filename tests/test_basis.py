@@ -313,7 +313,7 @@ class TestMomentMatrixAssembly:
         n, shift = 5, (0, 0, 0, 0, 1)
         basis = sphere_basis(n, 16)
         E = basis.exponent_array()
-        comps = _parity_components(basis.elements, [shift])
+        comps, _ = _parity_components(basis.elements, [shift])
         assert len(comps) == 16
         for comp in comps:
             Ec = E[comp]
@@ -474,7 +474,7 @@ class TestLocalizedKernel:
         # allocate at most 3.5 times its output, the moment table included
         basis = sphere_basis(5, 16)
         e5 = (0, 0, 0, 0, 1)
-        comps = _parity_components(basis.elements, [e5])
+        comps, _ = _parity_components(basis.elements, [e5])
         E = basis.exponent_array()[max(comps, key=len)]
         for terms in (None, {e5: 1.0}):
             tracemalloc.start()

@@ -1,6 +1,7 @@
 """Upper bounds from the moment pencil, densities, and rational objectives."""
 
 import functools
+import itertools
 import math
 import time
 import tracemalloc
@@ -158,9 +159,12 @@ class TestUpperBound:
         monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
         f = motzkin_form()
         res = upper_bound(f, 3, 6)
-        blocks = len(bounds._parity_components(res.basis.elements,
-                                               list(f.terms) + [(0, 0, 0)]))
-        assert blocks > 1
+        comps, keys = bounds._parity_components(
+            res.basis.elements, list(f.terms) + [(0, 0, 0)],
+            bounds._symmetry_classes(3, [f.terms, bounds._unit(3)]))
+        # x1 <-> x2 maps the blocks of parities (1, 0, *) and (0, 1, *) onto each other
+        blocks = len(set(keys))
+        assert 1 < blocks < len(comps)
         assert calls == {"dpotrf": blocks, "pencil": blocks, "single": 0}
 
     def test_eigensolve_failure_passes_on_scipy_message(self, monkeypatch):
@@ -467,7 +471,7 @@ class TestRational:
         monkeypatch.setattr(bounds, "gram_matrix_fraction",
                             counting("exact", bounds.gram_matrix_fraction))
         basis = sphere_basis(2, 3)
-        blocks = len(bounds._parity_components(basis.elements, [(1, 0), (0, 0)]))
+        blocks = len(bounds._parity_components(basis.elements, [(1, 0), (0, 0)])[0])
         expected = rational_upper_bound(p, q, 2, 3)
         assert calls == {"float": 2 * blocks, "exact": 0}
         calls["float"] = 0
@@ -548,17 +552,37 @@ def _grid_local_maxima_reference(grid, resolution):
     return np.array(out) if out else np.empty((0, 3))
 
 
-def _solve_pencil_reference(num_terms, den_terms, basis):
+def _orbit_firsts(comps, elements, term_sets, n):
+    """For each block, the first block of its orbit under every permutation
+    of x1..x_{n-1} that maps each term set onto itself, found by brute force
+    over all (n-1)! permutations."""
+    perms = [s + (n - 1,) for s in itertools.permutations(range(n - 1))]
+    perms = [s for s in perms
+             if all({tuple(a[k] for k in s): c for a, c in t.items()} == t for t in term_sets)]
+    parities = [frozenset(tuple(e & 1 for e in elements[i]) for i in comp) for comp in comps]
+    return [next(i for i, other in enumerate(parities)
+                 if other in {frozenset(tuple(p[k] for k in s) for p in par) for s in perms})
+            for par in parities]
+
+
+def _solve_pencil_reference(num_terms, den_terms, basis, orbits=True):
     """Reference float solve: the full spectrum of each block of B for its
-    2-norm condition, then eigh(A, B) on matrices it leaves untouched.
+    2-norm condition, then eigh(A, B) on matrices it leaves untouched.  With
+    orbits, a block after the first of its orbit (_orbit_firsts) repeats that
+    block's eigenvalues unsolved; without, every block is solved.
 
     Returns (value, coeffs, degenerate, 2-norm condition of B).
     """
     n, E = basis.n, basis.exponent_array()
-    comps = bounds._parity_components(basis.elements, list(num_terms) + list(den_terms))
+    comps, _ = bounds._parity_components(basis.elements, list(num_terms) + list(den_terms))
+    firsts = (_orbit_firsts(comps, basis.elements, [num_terms, den_terms], n) if orbits
+              else range(len(comps)))
     results = []
     bmin, bmax = np.inf, -np.inf
-    for comp in comps:
+    for comp, first in zip(comps, firsts):
+        if first < len(results):
+            results.append((*results[first][:2], None, None))
+            continue
         B = bounds.moment_matrix(E[comp], E[comp], n, terms=den_terms)
         bw = scipy.linalg.eigh(B, eigvals_only=True)
         assert bw[0] > 0.0
@@ -649,7 +673,7 @@ class TestAgainstReferences:
                        for _ in range(rng.integers(0, 4))]
                 den = [tuple(int(v) for v in rng.integers(0, 2, size=n))
                        for _ in range(rng.integers(1, 3))]
-                got = bounds._parity_components(elements, num + den)
+                got, _ = bounds._parity_components(elements, num + den)
                 assert _same_blocks(got, _parity_components_reference(elements, num + den))
                 joined += len(got) < len({tuple(e & 1 for e in a) for a in elements})
         assert joined > 0
@@ -670,12 +694,16 @@ class TestAgainstReferences:
             # any 1-norm condition lies within a factor m of the 2-norm one
             m = len(res.basis)
             assert cond2 / m <= res.condition_number <= m * cond2
+            if not res.condition_warning:
+                # solving every block moves the minimum by rounding only
+                every = _solve_pencil_reference(p.terms, den, res.basis, orbits=False)[0]
+                assert abs(res.value - every) <= 1e-12 * (1.0 + abs(every))
 
     @pytest.mark.parametrize("p, q, n, r, dps", HP_REFERENCE_CASES)
     def test_hp_block_solve_matches_loop_reference(self, p, q, n, r, dps):
         den = bounds._unit(n) if q is None else q.terms
         elements = sphere_basis(n, r).elements
-        for comp in bounds._parity_components(elements, list(p.terms) + list(den)):
+        for comp in bounds._parity_components(elements, list(p.terms) + list(den))[0]:
             elems = [elements[i] for i in comp]
             Afrac = bounds.gram_matrix_fraction(elems, n, p.terms)
             Bfrac = bounds.gram_matrix_fraction(elems, n, den)
@@ -701,14 +729,14 @@ class TestAgainstReferences:
                         for row in rng.integers(0, 4, size=(int(rng.integers(0, 30)), n))]
             shifts = [tuple(int(v) for v in rng.integers(0, 2, size=n))
                       for _ in range(rng.integers(0, 4))]
-            assert _same_blocks(bounds._parity_components(elements, shifts),
+            assert _same_blocks(bounds._parity_components(elements, shifts)[0],
                                 _parity_components_reference(elements, shifts))
 
     def test_parity_split_through_absent_class(self):
         # classes joined only by a path through a parity class the basis lacks
         elements = sphere_basis(5, 2).elements
         shifts = [(1, 1, 1, 0, 0), (1, 1, 0, 1, 0)]
-        got = bounds._parity_components(elements, shifts)
+        got, _ = bounds._parity_components(elements, shifts)
         assert _same_blocks(got, _parity_components_reference(elements, shifts))
 
     @pytest.mark.parametrize("ties", [False, True])
@@ -854,6 +882,29 @@ _LEVEL_CASES = [
 ]
 
 
+def _quartic_sum(n):
+    """x1^4 + ... + x_n^4."""
+    return Polynomial(n, {tuple(4 * (i == j) for i in range(n)): 1.0 for j in range(n)})
+
+
+def _count_assemblies_and_pencils(monkeypatch):
+    """Counts of bounds.moment_matrix calls and of pencil scipy.linalg.eigh calls."""
+    calls = {"moment_matrix": 0, "pencil": 0}
+    moment_matrix, eigh = bounds.moment_matrix, scipy.linalg.eigh
+
+    def counted_moment_matrix(*args, **kwargs):
+        calls["moment_matrix"] += 1
+        return moment_matrix(*args, **kwargs)
+
+    def counted_eigh(a, b=None, *args, **kwargs):
+        calls["pencil"] += b is not None
+        return eigh(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "moment_matrix", counted_moment_matrix)
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    return calls
+
+
 class TestLevelBounds:
     """level_bounds against per-level upper_bound calls."""
 
@@ -898,30 +949,28 @@ class TestLevelBounds:
             assert seconds > 0.0
 
     def test_one_assembly_pair_and_one_pencil_solve_per_top_level_block(self, monkeypatch):
-        calls = {"moment_matrix": 0, "pencil": 0}
-        moment_matrix, eigh = bounds.moment_matrix, scipy.linalg.eigh
-
-        def counted_moment_matrix(*args, **kwargs):
-            calls["moment_matrix"] += 1
-            return moment_matrix(*args, **kwargs)
-
-        def counted_eigh(a, b=None, *args, **kwargs):
-            calls["pencil"] += b is not None
-            return eigh(a, b, *args, **kwargs)
-
-        monkeypatch.setattr(bounds, "moment_matrix", counted_moment_matrix)
-        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        # per distinct block: one that a permutation fixing f maps onto an
+        # earlier one is not assembled or solved
+        calls = _count_assemblies_and_pencils(monkeypatch)
         f = Polynomial.variable(5, 5)
-        blocks = bounds._parity_components(sphere_basis(5, 16).elements,
-                                           list(f.terms) + [(0,) * 5])
+        comps, keys = bounds._parity_components(
+            sphere_basis(5, 16).elements, list(f.terms) + [(0,) * 5],
+            bounds._symmetry_classes(5, [f.terms, bounds._unit(5)]))
         start = time.perf_counter()
         records = sweep(f, 5, 4, 16, certificates=False)
         wall_ms = (time.perf_counter() - start) * 1000.0
-        # level by level this was 416 assemblies and 208 pencil solves
-        assert len(blocks) == 16
-        assert calls == {"moment_matrix": 32, "pencil": 16}
+        # level by level this was 416 assemblies and 208 pencil solves; one
+        # of each of the 16 blocks, 32 and 16.  x1..x4 are interchangeable,
+        # so a block's orbit is fixed by how many of them have odd exponents
+        assert (len(comps), len(set(keys))) == (16, 5)
+        assert calls == {"moment_matrix": 10, "pencil": 5}
         assert all(rec.runtime_ms > 0.0 for rec in records)
         assert sum(rec.runtime_ms for rec in records) <= wall_ms
+        calls.update(moment_matrix=0, pencil=0)
+        # x1^4 + ... + x6^4 on S^5: 64 blocks, 12 orbits (odd counts 0..5 among
+        # x1..x5, times the parity of x6)
+        sweep(_quartic_sum(6), 6, 2, 9, certificates=False)
+        assert calls == {"moment_matrix": 24, "pencil": 12}
 
     def test_sweep_fails_at_the_top_level_without_per_level_solves(self, monkeypatch):
         # the level-21 Gram matrix of S^2 does not factor in float64; levels
@@ -936,9 +985,114 @@ class TestLevelBounds:
                             lambda E1, *a, **k: calls.append(len(E1)) or moment_matrix(E1, *a, **k))
         with pytest.raises(ConditioningError, match=r"level r=21: Cholesky"):
             sweep(parse_poly("x3", 3), 3, 18, 21, certificates=False)
-        blocks = bounds._parity_components(sphere_basis(3, 21).elements, [(0, 0, 1), (0, 0, 0)])
+        blocks, _ = bounds._parity_components(sphere_basis(3, 21).elements, [(0, 0, 1), (0, 0, 0)])
         assert len(calls) <= 2 * len(blocks)
         assert set(calls) <= {len(c) for c in blocks}
+
+
+def _bumped(f, alpha):
+    """f with its coefficient at alpha moved up by one ulp."""
+    return Polynomial(f.n, {**f.terms, alpha: np.nextafter(f.terms[alpha], np.inf)})
+
+
+def _blocks_and_orbits(p, n, r, q=None):
+    """The number of blocks of the level-r pencil (A_p, A_q), and of orbits."""
+    den = bounds._unit(n) if q is None else q.terms
+    _, keys = bounds._parity_components(sphere_basis(n, r).elements, list(p.terms) + list(den),
+                                        bounds._symmetry_classes(n, [p.terms, den]))
+    return len(keys), len(set(keys))
+
+
+class TestSymmetryOrbits:
+    """Blocks that a permutation of x1..x_{n-1} fixing the pencil maps onto
+    each other are solved once, and every block is solved otherwise."""
+
+    def test_symmetry_classes(self):
+        def classes(p, n, den=None):
+            return bounds._symmetry_classes(n, [p.terms, den or bounds._unit(n)])
+
+        assert classes(Polynomial.variable(5, 5), 5) == [[0, 1, 2, 3], [4]]
+        assert classes(_quartic_sum(6), 6) == [[0, 1, 2, 3, 4], [5]]
+        assert classes(motzkin_form(), 3) == [[0, 1], [2]]
+        assert classes(parse_poly("x1^2 + x3^2 + x2", 4), 4) == [[0, 2], [1], [3]]
+        # x_n is never swapped, even where the objective allows it
+        assert classes(parse_poly("x2^2*x3 + x2*x3^2", 3), 3) is None
+        assert classes(_bumped(motzkin_form(), (4, 2, 0)), 3) is None
+        assert classes(motzkin_form(), 3, parse_poly("3 + x1^2", 3).terms) is None
+        assert classes(parse_poly("x1", 2), 2) is None
+
+    @pytest.mark.parametrize("p, q, r", [
+        (Polynomial.variable(5, 5), None, 6),
+        (_quartic_sum(6), None, 5),
+        (motzkin_form(), parse_poly("3 + x1^2 + x2^2", 3), 6),
+        # two classes, {x1, x2} and {x3, x4}, and odd shifts joining blocks
+        (parse_poly("x1^2*x2^2 + x3^4 + x4^4 + x3*x4*x5 + x1*x2", 5), None, 5),
+        (parse_poly("x1^2*x2^2 + x2^2*x3^2 + x1^2*x3^2 + x4^3", 4), parse_poly("2 + x4^2", 4), 5),
+    ])
+    def test_orbit_keys_match_brute_force_orbits(self, p, q, r):
+        n = p.n
+        den = bounds._unit(n) if q is None else q.terms
+        elements = sphere_basis(n, r).elements
+        comps, keys = bounds._parity_components(elements, list(p.terms) + list(den),
+                                                bounds._symmetry_classes(n, [p.terms, den]))
+        firsts = _orbit_firsts(comps, elements, [p.terms, den], n)
+        assert [keys.index(key) for key in keys] == firsts
+        assert len(set(firsts)) < len(comps)
+
+    @pytest.mark.parametrize("f", [
+        # symmetric only under x2 <-> x3, a swap with the last coordinate
+        parse_poly("x2^2*x3 + x2*x3^2", 3),
+        # the same, with the parity blocks (x2 odd) and (x3 odd) of equal size
+        parse_poly("x2^2*x3^2 + x1", 3),
+        # the Motzkin form with one coefficient one ulp off
+        _bumped(motzkin_form(), (4, 2, 0)),
+    ])
+    def test_every_block_solved_without_the_symmetry(self, monkeypatch, f):
+        calls = _count_assemblies_and_pencils(monkeypatch)
+        res = upper_bound(f, 3, 6)
+        blocks, distinct = _blocks_and_orbits(f, 3, 6)
+        assert blocks == distinct > 1
+        assert calls == {"moment_matrix": 2 * blocks, "pencil": blocks}
+        every = _solve_pencil_reference(f.terms, bounds._unit(3), res.basis, orbits=False)
+        assert res.value == every[0]
+
+    def test_one_ulp_off_symmetric_objective_agrees(self):
+        f = motzkin_form()
+        g = _bumped(f, (4, 2, 0))
+        for r in range(0, 8):
+            value = upper_bound(f, 3, r).value
+            assert abs(upper_bound(g, 3, r).value - value) <= 1e-12 * (1.0 + abs(value))
+
+    def test_rational_bound_needs_a_symmetric_denominator(self, monkeypatch):
+        calls = _count_assemblies_and_pencils(monkeypatch)
+        p = motzkin_form()
+        for q, distinct in [(parse_poly("3 + x1^2", 3), 8), (parse_poly("3 + x1^2 + x2^2", 3), 6)]:
+            calls.update(moment_matrix=0, pencil=0)
+            res = rational_upper_bound(p, q, 3, 6)
+            assert _blocks_and_orbits(p, 3, 6, q) == (8, distinct)
+            assert calls == {"moment_matrix": 2 * distinct, "pencil": distinct}
+            every = _solve_pencil_reference(p.terms, q.terms, res.basis, orbits=False)[0]
+            assert abs(res.value - every) <= 1e-12 * (1.0 + abs(every))
+
+    @pytest.mark.parametrize("f, n, r", [(motzkin_form(), 3, 3), (_quartic_sum(6), 6, 4)])
+    def test_winning_orbit_of_several_blocks_is_degenerate(self, monkeypatch, f, n, r):
+        # each block solve is moved by its own multiple of 10 GAP_TOL, so
+        # blocks solved apart would differ by more than GAP_TOL
+        solve_block, count = bounds._solve_block, itertools.count(1)
+
+        def moved(*args, **kwargs):
+            w0, w1, v = solve_block(*args, **kwargs)
+            d = 10 * bounds.GAP_TOL * next(count)
+            return w0 + d, (None if w1 is None else w1 + d), v
+
+        monkeypatch.setattr(bounds, "_solve_block", moved)
+        res = upper_bound(f, n, r)
+        comps, keys = bounds._parity_components(
+            res.basis.elements, list(f.terms) + [(0,) * n],
+            bounds._symmetry_classes(n, [f.terms, bounds._unit(n)]))
+        winner = next(j for j, comp in enumerate(comps) if np.any(res.coeffs[comp]))
+        assert keys.count(keys[winner]) >= 2
+        assert res.degenerate
 
 
 def _motzkin_grid_density():
