@@ -9,8 +9,9 @@ matrices couple only exponent tuples whose parities match through some
 monomial of the numerator or denominator, so the pencil splits into
 independent blocks; the solver exploits that split, which leaves every
 eigenvalue unchanged and keeps large levels tractable.  One loop over those
-blocks serves every objective and precision: a block is solved in float64,
-or with dps set from its exact A and B, one gram_matrix_fraction call each.
+blocks serves every objective and precision: each block is reduced once, in
+float64 or with dps from its exact A and B (one gram_matrix_fraction call
+each), and every level is solved from a leading block of the reduction.
 Blocks that a permutation of x1..x_{n-1} fixing the numerator and the
 denominator maps onto each other have one spectrum, and are solved once.
 """
@@ -193,58 +194,67 @@ def _solve_block(r, a, b=None, **kwargs):
     return float(w[0]), (float(w[1]) if hi == 1 else None), V[:, 0].copy()
 
 
-def _solve_block_hp(Afrac, Bfrac, dps):
-    """Smallest eigenpair of the pencil (A, B) from exact rational entries.
+def _reduce_hp(Afrac, Bfrac, dps):
+    """L, the dps-digit Cholesky factor of exact rational B, and M = L^-1 A L^-T
+    symmetrized, as row lists of mpf.  Each step reads only leading rows and
+    columns, so their leading k x k blocks are what k x k slices of A, B give."""
+    import mpmath as mp
 
-    With L the dps-digit Cholesky factor of B, the pencil's eigenvalues are
-    those of M = L^{-1} A L^{-T}.  float64 eigh of M gives the guesses w0,
-    w1 and q0.  The shift sigma = w0 - tau, tau = 1e-12 (1 + max|M_ij|)
-    grown 100-fold until it holds, is proven to lie below the spectrum by a
-    successful Cholesky of M - sigma I, so inverse iteration with that
-    factor (two triangular solves per step, from q0) can only converge to
-    the smallest eigenpair; the float ordering is never trusted.  The value
-    is the Rayleigh quotient, which never falls below the smallest
-    eigenvalue; iteration stops once it changes by at most 16 eps scale,
-    and raises ConditioningError after HP_MAX_STEPS steps.  Returns
-    (value, float64 w1 or None, v) with v = L^{-T} q, so v^T B v = 1.
+    with mp.workdps(dps):
+        A, B = ([[mp.mpf(x.numerator) / x.denominator for x in row] for row in F]
+                for F in (Afrac, Bfrac))
+        try:
+            L = mp.cholesky(mp.matrix(B)).tolist()
+        except ValueError as exc:
+            raise ConditioningError(f"high-precision Cholesky failed (dps={dps}): {exc}") from exc
+        Y = [_tri_solve(L, col) for col in zip(*A)]  # the columns of L^-1 A
+        M = [_tri_solve(L, col) for col in zip(*Y)]  # the columns of L^-1 (L^-1 A)^T
+        M = [[(a + b) / 2 for a, b in zip(row, col)] for row, col in zip(zip(*M), M)]
+    return L, M
+
+
+def _smallest_hp(L, M, k, dps):
+    """Smallest eigenpair of the leading k x k block of _reduce_hp's (L, M).
+
+    float64 eigh of M gives the guesses w0, w1 and q0.  The shift sigma =
+    w0 - tau, tau = 1e-12 (1 + max|M_ij|) grown 100-fold until it holds, is
+    proven to lie below the spectrum by a successful Cholesky of M - sigma I,
+    so inverse iteration with that factor (two triangular solves per step,
+    from q0) can only converge to the smallest eigenpair; the float ordering
+    is never trusted.  The value is the Rayleigh quotient, which never falls
+    below the smallest eigenvalue; iteration stops once it changes by at
+    most 16 eps scale, and raises ConditioningError after HP_MAX_STEPS
+    steps.  Returns (value, float64 w1 or None, v) with v = L^-T q, so
+    v^T B v = 1.
     """
     import mpmath as mp
 
-    m = len(Bfrac)
+    M = [row[:k] for row in M[:k]]
     with mp.workdps(dps):
-        A = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row] for row in Afrac])
-        B = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row] for row in Bfrac])
-        try:
-            L = mp.cholesky(B)
-        except ValueError as exc:
-            raise ConditioningError(
-                f"high-precision Cholesky failed (dps={dps}): {exc}") from exc
-        # M = L^{-1} A L^{-T} via two forward substitutions
-        M = _lower_solve(L, _lower_solve(L, A).T)
-        M = (M + M.T) / 2
-        w, Q = np.linalg.eigh(np.array(M.tolist(), dtype=float))
-        scale = 1 + max(abs(x) for x in M)
+        w, Q = np.linalg.eigh(np.array(M, dtype=float))
+        scale = 1 + max(abs(x) for row in M for x in row)
         tau = 1e-12 * scale
         # by the 12th try tau = 1e10 scale is past twice the spectral radius
         for _ in range(12):
             sigma = mp.mpf(w[0]) - tau
             try:
-                C = mp.cholesky(M - sigma * mp.eye(m))
+                C = mp.cholesky(mp.matrix([[x - sigma if i == j else x for j, x in enumerate(row)]
+                                           for i, row in enumerate(M)])).tolist()
                 break
             except ValueError:
                 tau *= 100
         else:
             raise ConditioningError(f"no shift below the spectrum found (dps={dps})")
-        Ct = C.T
-        q = mp.matrix(Q[:, 0].tolist())
+        q = [mp.mpf(x) for x in Q[:, 0].tolist()]
         tol = 16 * mp.eps * scale
         prev = None
         for _ in range(HP_MAX_STEPS):
             # (M - sigma I) y = q, so sigma + q.y / y.y is y's Rayleigh quotient
-            y = mp.mp.U_solve(Ct, _lower_solve(C, q))
+            y = _tri_solve(C, _tri_solve(C, q), trans=True)
             yy = mp.fdot(y, y)
             rq = sigma + mp.fdot(q, y) / yy
-            q = y / mp.sqrt(yy)
+            norm = mp.sqrt(yy)
+            q = [x / norm for x in y]
             if prev is not None and abs(rq - prev) <= tol:
                 break
             prev = rq
@@ -254,28 +264,23 @@ def _solve_block_hp(Afrac, Bfrac, dps):
                 f"the smallest eigenvalues are nearly tied")
         # the reported value is the Rayleigh quotient of q taken on M itself,
         # which is exact wherever M's structure is (a zero or diagonal M)
-        value = mp.fdot(q, M * q)
-        v = mp.mp.U_solve(L.T, q)
-        vec = np.array([float(v[i]) for i in range(m)])
-    return float(value), (float(w[1]) if m > 1 else None), vec
+        value = mp.fdot(q, [mp.fdot(row, q) for row in M])
+        vec = np.array([float(x) for x in _tri_solve(L, q, trans=True)])
+    return float(value), (float(w[1]) if k > 1 else None), vec
 
 
-def _lower_solve(L, X):
-    """L^{-1} X for a lower-triangular mpmath L, column by column.
-
-    Works on row lists, so each entry is read from the mpmath matrices once.
-    """
-    import mpmath as mp
-
-    L = L.tolist()
-    Y = X.tolist()
-    for j in range(len(Y[0])):
-        for i, row in enumerate(L):
-            s = Y[i][j]
-            for k in range(i):
-                s -= row[k] * Y[k][j]
-            Y[i][j] = s / row[i]
-    return mp.matrix(Y)
+def _tri_solve(L, b, trans=False):
+    """L^-1 b, or L^-T b with trans, for lower-triangular row lists L of mpf
+    (only the leading len(b) rows are read), subtracting one rounded product
+    at a time in increasing column order, as mpmath's U_solve does."""
+    x, n = list(b), len(b)
+    for i in range(n - 1, -1, -1) if trans else range(n):
+        pairs = zip([L[j][i] for j in range(i + 1, n)], x[i + 1:]) if trans else zip(L[i], x[:i])
+        s = x[i]
+        for a, y in pairs:
+            s -= a * y
+        x[i] = s / L[i][i]
+    return x
 
 
 def _pick_winner(results, size):
@@ -310,13 +315,14 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
     constant: c*B = lambda*B needs no solve.  The basis comes degree by
     degree, so a lower level's part of a block is its leading k x k block,
     with factor L[:k, :k] and reduced matrix M[:k, :k], M = L^-1 A L^-T.
-    Level basis.r is solved by eigh(A, B) as if alone, M by one dsygst (or,
-    with dps, leading slices of one exact A and B).  A block that a
-    permutation of x1..x_{n-1} fixing both term sets maps onto an earlier
-    one (same key) is not assembled, factored or solved: it repeats that
-    block's eigenvalues at every level, and never wins.  Times run from start
-    (default: the call): the top level carries the shared work, level
-    basis.r - 1 the dsygst, each level its own dpocon and solve.
+    In float64, level basis.r is solved by eigh(A, B) as if alone, M comes
+    from one dsygst; with dps, L and M come from _reduce_hp of the exact A
+    and B, and every level from _smallest_hp.  A block that a permutation of
+    x1..x_{n-1} fixing both term sets maps onto an earlier one (same key) is
+    not assembled, factored or solved: it repeats that block's eigenvalues
+    at every level, and never wins.  Times run from start (default: the
+    call): the top level carries the shared work (with dps, the reduction),
+    level basis.r - 1 the dsygst, each level its own dpocon and solve.
     """
     marks = [time.perf_counter() if start is None else start]
     n, top = basis.n, basis.r
@@ -376,7 +382,8 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
                 lap(-2)
         elif constant is None:
             elems_c = [basis.elements[i] for i in comp]
-            Afrac, Bfrac = (gram_matrix_fraction(elems_c, n, t) for t in (num_terms, den_terms))
+            L, M = _reduce_hp(*(gram_matrix_fraction(elems_c, n, t)
+                                for t in (num_terms, den_terms)), dps)
             lap(-1)
         for i in range(len(ks) - 1 - solve_float, -1, -1):
             k = ks[i]
@@ -387,9 +394,7 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
                                                   trans="T", lower=True)
                 results[i].append((w0, w1, v[:k], comp[:k]))
             elif k and constant is None:
-                results[i].append((*_solve_block_hp([row[:k] for row in Afrac[:k]],
-                                                    [row[:k] for row in Bfrac[:k]], dps),
-                                   comp[:k]))
+                results[i].append((*_smallest_hp(L, M, k, dps), comp[:k]))
             lap(i)
         L = M = None  # freed before the next block is assembled
         orbits[key] = [[(*res[:2], None, None) for res in level[j:]]
@@ -439,8 +444,8 @@ def upper_bound(f, n, r, dps=None):
 
 
 def level_bounds(f, n, r_lo, r_hi, dps=None):
-    """(upper_bound(f, n, r, dps), seconds) for r = r_lo..r_hi from the level-r_hi
-    blocks (see _solve_pencil): exact at r_hi and with dps, else up to rounding."""
+    """(upper_bound(f, n, r, dps), seconds) for r = r_lo..r_hi from the level-r_hi blocks
+    (see _solve_pencil): exact at r_hi, with dps but for condition_number, else up to rounding."""
     start = time.perf_counter()
     n, r_lo = _check_args(n, r_lo, [f], dps)
     _, r_hi = check_level(n, r_hi)
@@ -485,12 +490,7 @@ def _positivity_sample(n):
 
 def extract_density(res):
     """Expand the optimal density h = (sum coeffs_a x^a)^2 of a bound result."""
-    terms = {}
-    for i, a in enumerate(res.basis.elements):
-        c = float(res.coeffs[i])
-        if c != 0.0:
-            terms[a] = c
-    g = Polynomial(res.n, terms)
+    g = Polynomial(res.n, dict(zip(res.basis.elements, res.coeffs)))
     return Density(h=g * g, r=res.r, basis=res.basis, coeffs=res.coeffs.copy())
 
 

@@ -49,9 +49,9 @@ def sweep(f, n, r_lo, r_hi, certificates=True, dps=None):
     """Upper bounds (and cubature certificates) for each level in r_lo..r_hi.
 
     The bounds come from level_bounds: level r_hi's runtime_ms carries the
-    shared assembly and factorization, level r_hi - 1's the dsygst, every
-    other level's only its own solve, and each its own certificate, which
-    is skipped when its rule would exceed cubature_lower_bound's budget.
+    shared assembly, factorization and (with dps) reduction, level r_hi - 1's
+    the dsygst, every other level's only its own solve, and each its own
+    certificate, skipped when its rule would exceed cubature_lower_bound's budget.
     """
     records = []
     for res, seconds in level_bounds(f, n, r_lo, r_hi, dps=dps):

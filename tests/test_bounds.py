@@ -128,7 +128,8 @@ class TestUpperBound:
         def fail(*args, **kwargs):
             raise AssertionError("a constant objective needs no block solve")
 
-        monkeypatch.setattr(bounds, "_solve_block_hp", fail)
+        monkeypatch.setattr(bounds, "_reduce_hp", fail)
+        monkeypatch.setattr(bounds, "_smallest_hp", fail)
         monkeypatch.setattr(bounds, "_solve_block", fail)
         res = upper_bound(Polynomial.constant(3, 1.0), 3, 8, dps=30)
         assert res.value == expected.value == 1.0
@@ -638,6 +639,20 @@ def _solve_block_hp_reference(Afrac, Bfrac, dps):
                 np.array([float(v[i]) for i in range(m)]))
 
 
+def _smallest_hp_whole(Afrac, Bfrac, dps):
+    """The extended-precision smallest eigenpair of the whole pencil (A, B)."""
+    return bounds._smallest_hp(*bounds._reduce_hp(Afrac, Bfrac, dps), len(Bfrac), dps)
+
+
+def _hp_outcome(L, M, k, dps):
+    """_smallest_hp's (value, w1, vector bytes), or its ConditioningError's message."""
+    try:
+        w0, w1, vec = bounds._smallest_hp(L, M, k, dps)
+    except ConditioningError as exc:
+        return str(exc)
+    return w0, w1, vec.tobytes()
+
+
 HP_REFERENCE_CASES = [
     (Polynomial.variable(2, 1), None, 2, 6, 60),
     (motzkin_form(), None, 3, 2, 30),
@@ -707,7 +722,7 @@ class TestAgainstReferences:
             elems = [elements[i] for i in comp]
             Afrac = bounds.gram_matrix_fraction(elems, n, p.terms)
             Bfrac = bounds.gram_matrix_fraction(elems, n, den)
-            w0, w1, vec = bounds._solve_block_hp(Afrac, Bfrac, dps)
+            w0, w1, vec = _smallest_hp_whole(Afrac, Bfrac, dps)
             ref0, ref1, ref_vec = _solve_block_hp_reference(Afrac, Bfrac, dps)
             # the value is exact to float64; w1 is the float64 guess, and
             # the eigenvector is fixed only up to sign and dps-level noise
@@ -784,7 +799,7 @@ class TestExtendedPrecisionSolve:
     @given(_spd_pencils(), st.sampled_from([20, 40, 60]))
     def test_smallest_pair_on_random_pencils(self, pencil, dps):
         Afrac, Bfrac = pencil
-        w0, w1, vec = bounds._solve_block_hp(Afrac, Bfrac, dps)
+        w0, w1, vec = _smallest_hp_whole(Afrac, Bfrac, dps)
         ref0, ref1, _ = _solve_block_hp_reference(Afrac, Bfrac, dps)
         A = np.array(Afrac, dtype=float)
         B = np.array(Bfrac, dtype=float)
@@ -800,6 +815,48 @@ class TestExtendedPrecisionSolve:
         assert residual <= 1e-12 * (np.linalg.norm(A, 2) + abs(w0) * np.linalg.norm(B, 2)) \
             * np.linalg.norm(vec)
         assert abs(vec @ B @ vec - 1.0) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_spd_pencils(), st.sampled_from([20, 40, 60]))
+    def test_leading_blocks_of_one_reduction_equal_reduced_slices(self, pencil, dps):
+        # what keeps a sweep's levels bit-identical to per-level calls: level
+        # k's solve from the leading block of one reduction of the whole
+        # pencil equals the solve of the reduced k x k slices
+        Afrac, Bfrac = pencil
+        L, M = bounds._reduce_hp(Afrac, Bfrac, dps)
+        for k in range(1, len(Bfrac) + 1):
+            sliced = bounds._reduce_hp([row[:k] for row in Afrac[:k]],
+                                       [row[:k] for row in Bfrac[:k]], dps)
+            assert sliced[0] == [row[:k] for row in L[:k]]
+            assert sliced[1] == [row[:k] for row in M[:k]]
+            assert _hp_outcome(L, M, k, dps) == _hp_outcome(*sliced, k, dps)
+
+    @pytest.mark.parametrize("dps", [20, 33, 47, 60])
+    def test_triangular_solves_match_mpmath_and_a_substitution_loop(self, dps):
+        # the order of the rounded operations is what keeps results
+        # bit-identical, so the comparison is ==, element by element
+        rng = np.random.default_rng(dps)
+        with mpmath.workdps(dps):
+            for m in (1, 2, 5, 11):
+                L = [[mpmath.mpf(float(rng.standard_normal())) / 3 for _ in range(i)]
+                     + [mpmath.mpf(float(rng.uniform(0.1, 2.0))) / 7] for i in range(m)]
+                b = [mpmath.mpf(float(rng.standard_normal())) / 11 for _ in range(m)]
+                Lmat = mpmath.matrix([row + [0] * (m - len(row)) for row in L])
+                assert bounds._tri_solve(L, b, trans=True) == \
+                    list(mpmath.mp.U_solve(Lmat.T, mpmath.matrix(b)))
+                x = []
+                for i in range(m):
+                    s = b[i]
+                    for j in range(i):
+                        s -= L[i][j] * x[j]
+                    x.append(s / L[i][i])
+                assert bounds._tri_solve(L, b) == x
+                # a shorter b reads only the leading block of L
+                for k in range(1, m + 1):
+                    lead = [row[:k] for row in L[:k]]
+                    for trans in (False, True):
+                        assert bounds._tri_solve(L, b[:k], trans) == \
+                            bounds._tri_solve(lead, b[:k], trans)
 
     def test_exactly_double_smallest_eigenvalue(self):
         # a block whose smallest eigenvalue is exactly double: any vector of
@@ -935,10 +992,52 @@ class TestLevelBounds:
         (parse_poly("x1", 2), 2, 1, 8),
         (parse_poly("x1*x2*x3 + x1*x2", 3), 3, 0, 3),
         (Polynomial.variable(5, 5), 5, 0, 2),
+        # past r = 20, where float64 raises ConditioningError on S^1
+        (parse_poly("x1", 2), 2, 18, 24),
     ])
     def test_dps_levels_equal_per_level_calls(self, f, n, lo, hi):
-        for res, _ in level_bounds(f, n, lo, hi, dps=30):
-            assert res.value == upper_bound(f, n, res.r, dps=30).value
+        got = level_bounds(f, n, lo, hi, dps=30)
+        assert [res.r for res, _ in got] == list(range(lo, hi + 1))
+        for res, _ in got:
+            ref = upper_bound(f, n, res.r, dps=30)
+            assert res.basis == ref.basis
+            assert res.value == ref.value
+            assert res.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert (res.condition_warning, res.degenerate) == \
+                (ref.condition_warning, ref.degenerate)
+            # the float64 condition estimate comes from the leading block of
+            # the r_hi block's dpotrf factor, which LAPACK's recursive
+            # Cholesky rounds apart from a factor of the leading block alone
+            if res.r == hi:
+                assert res.condition_number == ref.condition_number
+            else:
+                assert res.condition_number == pytest.approx(ref.condition_number, rel=1e-3)
+
+    def test_dps_sweep_reduces_each_distinct_block_once(self, monkeypatch):
+        calls = {"_reduce_hp": 0, "gram_matrix_fraction": 0, "_smallest_hp": 0}
+
+        def counting(name):
+            fn = getattr(bounds, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(bounds, name, wrapper)
+
+        for name in calls:
+            counting(name)
+        f = parse_poly("x1", 2)
+        basis = sphere_basis(2, 12)
+        comps, keys = bounds._parity_components(
+            basis.elements, list(f.terms) + [(0, 0)],
+            bounds._symmetry_classes(2, [f.terms, bounds._unit(2)]))
+        firsts = [comp for j, comp in enumerate(comps) if keys.index(keys[j]) == j]
+        sizes = [len(sphere_basis(2, r)) for r in range(1, 13)]
+        solves = sum(int(np.searchsorted(comp, size)) > 0 for comp in firsts for size in sizes)
+        level_bounds(f, 2, 1, 12, dps=40)
+        assert len(firsts) == 2
+        assert calls == {"_reduce_hp": len(firsts), "gram_matrix_fraction": 2 * len(firsts),
+                         "_smallest_hp": solves}
 
     def test_constant_objective(self):
         for res, seconds in level_bounds(Polynomial.constant(3, 2.5), 3, 0, 4):
