@@ -28,7 +28,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpocon, dpotrf, dsygst
 
-from .basis import BasisSpec, check_level, gram_matrix_fraction, moment_matrix, sphere_basis
+from .basis import (BasisSpec, _parity_classes, check_level, gram_matrix_fraction, moment_matrix,
+                    sphere_basis)
 from .cubature import NODE_BUDGET
 from .polynomials import Polynomial, as_index
 from .sampling import sphere_points
@@ -135,33 +136,37 @@ def _symmetry_classes(n, term_sets):
 def _parity_components(elements, shifts, classes=None):
     """Indices of the pencil's independent blocks under exponent parity, and their keys.
 
-    Two basis elements interact iff their parities differ by the parity of
-    some shift (monomial of the numerator or denominator); the components
-    of that graph give a block structure shared by every matrix in the
-    pencil.  A search over parity classes, taken in order of first
-    appearance, lists the blocks by their smallest index.  A block's key is
-    its size and the least, over its parity vectors, of their odd counts per
-    coordinate class (None: each coordinate alone).  Permutations within
-    _symmetry_classes map the basis onto itself and a block onto a block,
-    so two blocks share a key exactly when one maps onto the other.
+    Two basis elements (exponent tuples, or rows of an exponent array)
+    interact iff their parities differ by the parity of some shift (monomial
+    of the numerator or denominator); the components of that graph give a
+    block structure shared by every matrix in the pencil.  A search over
+    parity classes, taken in order of first appearance, lists the blocks by
+    their smallest index.  A block's key is its size and the least, over its
+    parity vectors, of their odd counts per coordinate class (None: each
+    coordinate alone).  Permutations within _symmetry_classes map the basis
+    onto itself and a block onto a block, so two blocks share a key exactly
+    when one maps onto the other.
     """
-    by_parity = {}
-    for i, a in enumerate(elements):
-        by_parity.setdefault(tuple(e & 1 for e in a), []).append(i)
+    if len(elements) == 0:
+        return [], []
+    E = np.asarray(elements, dtype=np.int64)
+    cls = _parity_classes(E)
+    by_parity = {tuple((E[i] & 1).tolist()): np.flatnonzero(cls == cls[i])
+                 for i in np.sort(np.unique(cls, return_index=True)[1])}
     flips = {tuple(e & 1 for e in g) for g in shifts}
     comps, keys = [], []
     while by_parity:
         # reached classes leave the dict, and are visited as they are appended
         reached = [next(iter(by_parity))]
-        idx = by_parity.pop(reached[0])
+        idx = [by_parity.pop(reached[0])]
         for p in reached:
             for g in flips:
                 q = tuple(a ^ b for a, b in zip(p, g))
                 if q in by_parity:
-                    idx += by_parity.pop(q)
+                    idx.append(by_parity.pop(q))
                     reached.append(q)
-        comps.append(np.sort(np.array(idx, dtype=np.intp)))
-        keys.append((len(idx), min(tuple(sum(p[k] for k in c) for c in classes) if classes
+        comps.append(np.sort(np.concatenate(idx)))
+        keys.append((len(comps[-1]), min(tuple(sum(p[k] for k in c) for c in classes) if classes
                                    else p for p in reached)))
     return comps, keys
 
@@ -330,7 +335,7 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
     E = basis.exponent_array()
     # the level sizes: elements come in order of degree
     ends = np.searchsorted(E.sum(axis=1), levels, side="right")
-    comps, keys = _parity_components(basis.elements, list(num_terms) + list(den_terms),
+    comps, keys = _parity_components(E, list(num_terms) + list(den_terms),
                                      _symmetry_classes(n, [num_terms, den_terms]))
     results, norms, spent = [[] for _ in levels], [[] for _ in levels], [0.0] * len(levels)
     orbits = {}  # key -> per level, the eigenvalues of the orbit's first block, no vector

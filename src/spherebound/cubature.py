@@ -4,8 +4,10 @@ The product rule combines an equispaced angular grid with Gauss-Gegenbauer
 nodes in generalized spherical coordinates and integrates every polynomial
 of degree at most 2d-1 exactly; that threshold is sharp and is certified by
 tests against the closed-form moments. Every rule is an orthopoly
-QuadratureRule (the interval Gauss rules there are its first producer): its
-nodes, its positive weights and its certified exactness degree, nothing else.
+QuadratureRule: its nodes, its positive weights and its certified exactness
+degree. A product node is (sin t_1 y1, cos t_1 y1, x3, ..., xn) for a point y
+of one slice grid, from which the rule and the lower certificate are built;
+the certificate never forms the rule.
 """
 
 from __future__ import annotations
@@ -62,17 +64,19 @@ def sphere_product_rule(n, d):
                               weights=base.weights * surface_area(2),
                               exactness_degree=2 * d - 1)
     angle_grids, weight_grids = _product_grids(n, d)
-    nodes = np.empty((2 * d ** (n - 1), n))
-    row = 0
-    for block in _node_blocks(angle_grids):
-        nodes[row:row + len(block)] = block
-        row += len(block)
+    y = _slice_points(angle_grids[1:])
+    t = angle_grids[0][:, None]
+    nodes = np.empty((2 * d, len(y), n))  # first angle slowest
+    np.multiply(np.sin(t), y[:, 0], out=nodes[..., 0])
+    np.multiply(np.cos(t), y[:, 0], out=nodes[..., 1])
+    nodes[..., 2:] = y[:, 1:]
     weights = 1.0
     for w in np.ix_(*weight_grids):
         weights = weights * w
     weights = weights.reshape(-1)
     weights *= surface_area(n) / weights.sum()
-    return QuadratureRule(nodes=nodes, weights=weights, exactness_degree=2 * d - 1)
+    return QuadratureRule(nodes=nodes.reshape(-1, n), weights=weights,
+                          exactness_degree=2 * d - 1)
 
 
 def _check_budget(count):
@@ -91,39 +95,23 @@ def _product_grids(n, d):
     return angle_grids, weight_grids
 
 
-def _node_blocks(angle_grids):
-    """The product rule's nodes as consecutive (rows, n) blocks.
+def _slice_points(angle_grids):
+    """The slice grid y = (y1, x3, ..., xn) over the angles t_2..t_{n-1}, in ij order.
 
-    Rows come in ij order of the angle grids, first angle slowest.  A block
-    is a run of whole first-angle slices, d^(n-2) rows each, grouped until it
-    holds at least EVAL_BLOCK rows or the whole grid.
+    x_n = cos t_{n-1}, x_j = cos t_{j-1} prod_{i>=j} sin t_i and y1 = prod sin t_i,
+    on open meshes of the 1-D trig values, sines multiplied from the last angle down.
     """
-    # open meshes (np.ix_) broadcast over the ij-ordered product grid; the
-    # trig functions run on the 1-D grids only
     k = len(angle_grids)
-    n = k + 1
     cos = np.ix_(*[np.cos(t) for t in angle_grids])
     sin = np.ix_(*[np.sin(t) for t in angle_grids])
-    # generalized spherical coordinates: x_n = cos t_{n-1},
-    # x_j = cos t_{j-1} * prod_{i>=j} sin t_i for 1 < j < n, x_1 = prod sin t_i,
-    # with the sines multiplied in from the last angle down; only cos t_1 and
-    # sin t_1 vary along the first axis, so the suffix products are slice-sized
-    suffixes = {}
+    y = np.empty(tuple(len(t) for t in angle_grids) + (k + 1,))
+    y[..., k] = cos[k - 1]
     suffix = 1.0
     for j in range(k - 1, 0, -1):
         suffix = suffix * sin[j]
-        suffixes[j] = suffix
-    slice_shape = tuple(len(t) for t in angle_grids[1:])
-    per_block = max(1, -(-EVAL_BLOCK // math.prod(slice_shape)))
-    for start in range(0, len(angle_grids[0]), per_block):
-        rows = slice(start, start + per_block)
-        cos_b = [cos[0][rows]] + list(cos[1:])
-        block = np.empty((len(cos_b[0]),) + slice_shape + (n,))
-        block[..., k] = cos_b[k - 1]
-        for j in range(k - 1, 0, -1):
-            block[..., j] = cos_b[j - 1] * suffixes[j]
-        block[..., 0] = suffixes[1] * sin[0][rows]
-        yield block.reshape(-1, n)
+        y[..., j] = cos[j - 1] * suffix
+    y[..., 0] = suffix * sin[0]
+    return y.reshape(-1, k + 1)
 
 
 def max_exactness_error(rule, oracle=None):
@@ -172,11 +160,12 @@ def cubature_lower_bound(f, n, r):
     degree N - 1 only, so N must exceed deg f + 2r; the smallest odd such N
     is used (an odd grid never contains the antipode of a node, which keeps
     linear-objective certificates strictly above -1).  On higher spheres the
-    product rule is never built: its nodes are generated and evaluated one
-    block of first-angle slices (at least EVAL_BLOCK rows) at a time, and no
-    weights are formed, so the working set is one block, not the whole rule.
-    A rule of more than NODE_BUDGET nodes raises ValueError before any grid
-    is built.
+    product rule is never built: f = sum sin^a1 t_1 cos^a2 t_1 G(y) over the
+    exponents (a1, a2) of x1 and x2 (G puts a1 + a2 on y1), and each G is
+    evaluated on chunks of EVAL_BLOCK slice points, so the working set is one
+    slice and one chunk.  The value is the minimum of f over the rule's nodes
+    up to rounding, and exactly that when f has no x1 or x2.  A rule of more
+    than NODE_BUDGET nodes raises ValueError before any grid is built.
     """
     n, r = check_level(n, r, f)
     if n == 2:
@@ -186,7 +175,21 @@ def cubature_lower_bound(f, n, r):
     d = select_rule_degree(f.degree, r)
     _check_budget(2 * d ** (n - 1))
     angle_grids, _ = _product_grids(n, d)
-    return float(np.min([f.eval_many(block).min() for block in _node_blocks(angle_grids)]))
+    groups = {}
+    for a, c in f.terms.items():
+        groups.setdefault(a[:2], {})[(a[0] + a[1],) + a[2:]] = c
+    t = angle_grids[0][:, None]
+    parts = [(np.sin(t) ** a1 * np.cos(t) ** a2, Polynomial(n - 1, g))
+             for (a1, a2), g in groups.items()]
+    y = _slice_points(angle_grids[1:])
+    low = np.inf
+    for start in range(0, len(y), EVAL_BLOCK):
+        chunk = y[start:start + EVAL_BLOCK]
+        total = np.zeros((2 * d, len(chunk)))
+        for w, g in parts:
+            total += w * g.eval_many(chunk)
+        low = min(low, total.min())
+    return float(low)
 
 
 def save_rule_csv(rule, fh):

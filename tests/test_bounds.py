@@ -747,6 +747,21 @@ class TestAgainstReferences:
             assert _same_blocks(bounds._parity_components(elements, shifts)[0],
                                 _parity_components_reference(elements, shifts))
 
+    @pytest.mark.parametrize("n, r", [(3, 7), (5, 16), (6, 9), (40, 1), (70, 2)])
+    def test_parity_split_of_an_exponent_array_equals_tuples(self, n, r):
+        # n = 40 and 70 take more than one 32-bit word of parities per row
+        basis = sphere_basis(n, r)
+        rng = np.random.default_rng(n + r)
+        shifts = [tuple(int(v) for v in rng.integers(0, 3, size=n)) for _ in range(3)]
+        for classes in (None, [list(range(n - 1))]):
+            comps, keys = bounds._parity_components(basis.elements, shifts + [(0,) * n], classes)
+            got, got_keys = bounds._parity_components(basis.exponent_array(),
+                                                      shifts + [(0,) * n], classes)
+            assert got_keys == keys
+            assert _same_blocks(got, comps)
+            assert _same_blocks(comps, _parity_components_reference(basis.elements,
+                                                                    shifts + [(0,) * n]))
+
     def test_parity_split_through_absent_class(self):
         # classes joined only by a path through a parity class the basis lacks
         elements = sphere_basis(5, 2).elements

@@ -2,11 +2,14 @@
 
 import dataclasses
 import io
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spherebound import (JacobiParams, MomentOracle, circle_rule,
@@ -16,7 +19,7 @@ from spherebound import (JacobiParams, MomentOracle, circle_rule,
 from spherebound import cubature
 from spherebound.cubature import QuadratureRule, select_rule_degree
 from spherebound.orthopoly import gauss_rule
-from spherebound.polynomials import Polynomial
+from spherebound.polynomials import EVAL_BLOCK, Polynomial
 
 
 class TestCircleRule:
@@ -179,6 +182,21 @@ def test_product_rule_peak_memory_is_its_output():
     assert peak <= 1.25 * (rule.nodes.nbytes + rule.weights.nbytes)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_product_rule_nodes_match_spherical_coordinates_per_node(n):
+    d = 3
+    rule = sphere_product_rule(n, d)
+    angle_grids = [[math.pi * i / d for i in range(2 * d)]]
+    for i in range(2, n):
+        angle_grids.append([math.acos(x) for x in gauss_rule((i - 1) / 2.0, d).nodes[::-1]])
+    for row, angles in zip(rule.nodes, itertools.product(*angle_grids)):
+        # x_n = cos t_{n-1}, x_j = cos t_{j-1} prod_{i>=j} sin t_i, x_1 = prod sin t_i
+        x = [math.prod(math.sin(t) for t in angles)]
+        for j in range(2, n + 1):
+            x.append(math.cos(angles[j - 2]) * math.prod(math.sin(t) for t in angles[j - 1:]))
+        assert np.abs(row - x).max() <= 4 * np.finfo(float).eps
+
+
 def _exact_degree(n, deg):
     def rec(prefix, remaining, budget):
         if remaining == 1:
@@ -294,9 +312,18 @@ def _random_quartic(n, seed):
     return Polynomial(n, terms)
 
 
-# (n, r) with a quartic objective, so the rule has d = r + 3; the first of
-# each n fits in one block of _node_blocks, the second takes several, the
-# last one partly full
+def _whole_rule_min(f, n, r):
+    return float(f.eval_many(sphere_product_rule(n, select_rule_degree(f.degree, r)).nodes).min())
+
+
+def _rounding_scale(f):
+    # the certificate and the whole rule round differently: 2 eps sum |c_a|
+    return 2 * np.finfo(float).eps * sum(abs(c) for c in f.terms.values())
+
+
+# (n, r) with a quartic objective, so the rule has d = r + 3; its 2d
+# first-angle slices of d^(n-2) nodes make `blocks` runs of whole slices of at
+# least EVAL_BLOCK nodes: one, several, or several with the last partly full
 @pytest.mark.parametrize("n, r, blocks", [(3, 0, 1), (3, 47, 2), (4, 1, 1), (4, 17, 4),
                                           (5, 1, 1), (5, 4, 2), (6, 0, 1), (6, 3, 3),
                                           (6, 6, 18)])
@@ -304,9 +331,48 @@ def test_streamed_certificate_is_the_minimum_over_the_whole_rule(n, r, blocks):
     f = _random_quartic(n, seed=10 * n + r)
     d = select_rule_degree(f.degree, r)
     assert d == r + 3
-    assert len(list(cubature._node_blocks(cubature._product_grids(n, d)[0]))) == blocks
-    whole = float(f.eval_many(sphere_product_rule(n, d).nodes).min())
-    assert cubature_lower_bound(f, n, r) == whole
+    per_run = -(-EVAL_BLOCK // d ** (n - 2))
+    assert -(-2 * d // per_run) == blocks
+    whole = _whole_rule_min(f, n, r)
+    assert abs(cubature_lower_bound(f, n, r) - whole) <= _rounding_scale(f)
+
+
+@pytest.mark.parametrize("n, r", [(3, 0), (3, 9), (4, 5), (5, 3), (6, 6)])
+def test_certificate_is_exactly_the_rule_minimum_without_x1_and_x2(n, r):
+    # one group, evaluated on the same slice coordinates as the rule's nodes
+    rng = np.random.default_rng(n + r)
+    terms = {}
+    for _ in range(8):
+        alpha = (0, 0) + tuple(int(e) for e in rng.multinomial(int(rng.integers(0, 5)),
+                                                                [1 / (n - 2)] * (n - 2)))
+        terms[alpha] = float(rng.normal())
+    f = Polynomial(n, terms)
+    assert cubature_lower_bound(f, n, r) == _whole_rule_min(f, n, r)
+    for c in (0.0, -2.5, 1.3):
+        g = Polynomial.constant(n, c)
+        assert cubature_lower_bound(g, n, r) == _whole_rule_min(g, n, r) == c
+
+
+@st.composite
+def _certificate_cases(draw):
+    n = draw(st.integers(3, 6))
+    r = draw(st.integers(0, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        deg = draw(st.integers(0, 6))
+        cuts = sorted(draw(st.lists(st.integers(0, deg), min_size=n - 1, max_size=n - 1)))
+        alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+        terms[alpha] = draw(st.floats(-10, -1e-3) | st.floats(1e-3, 10))
+    return Polynomial(n, terms), n, r
+
+
+@settings(max_examples=40, deadline=None)
+@given(_certificate_cases())
+def test_certificate_within_rounding_of_the_rule_minimum(case):
+    f, n, r = case
+    cert = cubature_lower_bound(f, n, r)
+    assert abs(cert - _whole_rule_min(f, n, r)) <= _rounding_scale(f)
+    assert cert <= upper_bound(f, n, r).value + 1e-12
 
 
 def test_certificate_working_set_is_one_block():
