@@ -11,9 +11,11 @@ independent blocks; the solver exploits that split, which leaves every
 eigenvalue unchanged and keeps large levels tractable.  One loop over those
 blocks serves every objective and precision: each block is reduced once, in
 float64 or with dps from its exact A and B (one gram_matrix_fraction call
-each), and every level is solved from a leading block of the reduction.
-Blocks that a permutation of x1..x_{n-1} fixing the numerator and the
-denominator maps onto each other have one spectrum, and are solved once.
+each), and every level is solved from a leading block of the reduction,
+except where Cauchy interlacing shows that the block cannot hold that
+level's minimum.  Blocks that a permutation of x1..x_{n-1} fixing the
+numerator and the denominator maps onto each other have one spectrum, and
+are solved once.
 """
 
 from __future__ import annotations
@@ -322,12 +324,18 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
     with factor L[:k, :k] and reduced matrix M[:k, :k], M = L^-1 A L^-T.
     In float64, level basis.r is solved by eigh(A, B) as if alone, M comes
     from one dsygst; with dps, L and M come from _reduce_hp of the exact A
-    and B, and every level from _smallest_hp.  A block that a permutation of
-    x1..x_{n-1} fixing both term sets maps onto an earlier one (same key) is
-    not assembled, factored or solved: it repeats that block's eigenvalues
-    at every level, and never wins.  Times run from start (default: the
-    call): the top level carries the shared work (with dps, the reduction),
-    level basis.r - 1 the dsygst, each level its own dpocon and solve.
+    and B, and every level from _smallest_hp.  By Cauchy interlacing a
+    leading block's least eigenvalue is at least the whole block's, so a
+    block is not solved at a lower level where an earlier block lies more
+    than GAP_TOL below its level-basis.r eigenvalue: it could neither win
+    nor tie there (_pick_winner); the dsygst stops at the largest level
+    still solved, but every level is still factored and dpocon-estimated.
+    A block that a permutation of x1..x_{n-1} fixing both term sets maps
+    onto an earlier one (same key) is not assembled, factored or solved: it
+    repeats that block's eigenvalues at every level, and never wins.  Times
+    run from start (default: the call): the top level carries the shared
+    work (with dps, the reduction), level basis.r - 1 the dsygst, each level
+    its own dpocon and solve.
     """
     marks = [time.perf_counter() if start is None else start]
     n, top = basis.n, basis.r
@@ -382,21 +390,29 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
                                               overwrite_b=True), comp))
             del A, B
             lap(-1)
-            if below:
-                M = dsygst(M, L[:below, :below], lower=1, overwrite_a=1)[0]
-                lap(-2)
         elif constant is None:
             elems_c = [basis.elements[i] for i in comp]
             L, M = _reduce_hp(*(gram_matrix_fraction(elems_c, n, t)
                                 for t in (num_terms, den_terms)), dps)
+            results[-1].append((*_smallest_hp(L, M, ks[-1], dps), comp))
             lap(-1)
-        for i in range(len(ks) - 1 - solve_float, -1, -1):
+        if constant is None:
+            # skip the levels this block can neither win nor tie (see above)
+            w_top = results[-1][-1][0]
+            ks[:-1] = [k if all(w_top <= w0 + GAP_TOL for w0, *_ in res) else 0
+                       for k, res in zip(ks[:-1], results)]
+        below = max(ks[:-1], default=0)  # the largest level still to solve
+        if solve_float and below:
+            M = dsygst(M[:below, :below], L[:below, :below], lower=1, overwrite_a=1)[0]
+            lap(-2)
+        for i in range(len(ks) - 2, -1, -1):
             k = ks[i]
             if k and solve_float:
                 w0, w1, q = _solve_block(levels[i], M[:k, :k])
-                # v = L[:k, :k]^-T q, solved with all of L and q padded by zeros
-                v = scipy.linalg.solve_triangular(L, np.pad(q, (0, len(L) - k)),
-                                                  trans="T", lower=True)
+                # v = L[:k, :k]^-T q, solved with all of L and q padded by zeros;
+                # the top level's eigh(A, B) has checked B, so L is finite
+                v = scipy.linalg.solve_triangular(L, np.pad(q, (0, len(L) - k)), trans="T",
+                                                  lower=True, check_finite=False)
                 results[i].append((w0, w1, v[:k], comp[:k]))
             elif k and constant is None:
                 results[i].append((*_smallest_hp(L, M, k, dps), comp[:k]))
@@ -450,7 +466,8 @@ def upper_bound(f, n, r, dps=None):
 
 def level_bounds(f, n, r_lo, r_hi, dps=None):
     """(upper_bound(f, n, r, dps), seconds) for r = r_lo..r_hi from the level-r_hi blocks
-    (see _solve_pencil): exact at r_hi, with dps but for condition_number, else up to rounding."""
+    (see _solve_pencil): exact at r_hi, with dps but for condition_number, else up to rounding.
+    Below r_hi a block is solved only where interlacing leaves it able to win."""
     start = time.perf_counter()
     n, r_lo = _check_args(n, r_lo, [f], dps)
     _, r_hi = check_level(n, r_hi)

@@ -7,12 +7,13 @@ import time
 import tracemalloc
 
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -1042,17 +1043,22 @@ class TestLevelBounds:
         for name in calls:
             counting(name)
         f = parse_poly("x1", 2)
-        basis = sphere_basis(2, 12)
         comps, keys = bounds._parity_components(
-            basis.elements, list(f.terms) + [(0, 0)],
+            sphere_basis(2, 12).elements, list(f.terms) + [(0, 0)],
             bounds._symmetry_classes(2, [f.terms, bounds._unit(2)]))
-        firsts = [comp for j, comp in enumerate(comps) if keys.index(keys[j]) == j]
-        sizes = [len(sphere_basis(2, r)) for r in range(1, 13)]
-        solves = sum(int(np.searchsorted(comp, size)) > 0 for comp in firsts for size in sizes)
         level_bounds(f, 2, 1, 12, dps=40)
-        assert len(firsts) == 2
-        assert calls == {"_reduce_hp": len(firsts), "gram_matrix_fraction": 2 * len(firsts),
-                         "_smallest_hp": solves}
+        # with x1 = cos t, the block of x1^a (a <= r) is p(cos t) with the
+        # weight of T_{r+1}, least eigenvalue -cos(pi/(2r+2)); the block of
+        # x2 x1^a (a < r) is sin t p(cos t) with the weight of U_r, least
+        # eigenvalue -cos(pi/(r+1)).  The first is solved at r = 1..12, the
+        # second at r = 12 and where -cos(pi/13) is not more than GAP_TOL
+        # above -cos(pi/(2r+2)): at 2r + 2 <= 13, r = 1..5
+        second = [r for r in range(1, 12)
+                  if -math.cos(math.pi / 13) <= -math.cos(math.pi / (2 * r + 2)) + bounds.GAP_TOL]
+        assert (len(comps), len(set(keys)), second) == (2, 2, [1, 2, 3, 4, 5])
+        # every (block, level) pair was solved before interlacing: 24
+        assert calls == {"_reduce_hp": 2, "gram_matrix_fraction": 4,
+                         "_smallest_hp": 12 + 1 + len(second)}
 
     def test_constant_objective(self):
         for res, seconds in level_bounds(Polynomial.constant(3, 2.5), 3, 0, 4):
@@ -1102,6 +1108,163 @@ class TestLevelBounds:
         blocks, _ = bounds._parity_components(sphere_basis(3, 21).elements, [(0, 0, 1), (0, 0, 0)])
         assert len(calls) <= 2 * len(blocks)
         assert set(calls) <= {len(c) for c in blocks}
+
+
+def _sweep_reference(f, n, r_lo, r_hi):
+    """Reference float sweep that solves every distinct block at every level.
+
+    Per distinct block: eigh(A, B) at r_hi, one dsygst of its whole part
+    below r_hi, eigh of each lower level's leading block and a
+    back-substitution with the whole factor and q padded by zeros; a block
+    that a permutation maps onto an earlier one repeats its eigenvalues.
+    Then _pick_winner per level.  Returns per level (value, coeffs,
+    degenerate) and, per distinct block, its least eigenvalue at each level
+    (None where the block is empty).
+    """
+    unit = bounds._unit(n)
+    E = sphere_basis(n, r_hi).exponent_array()
+    ends = np.searchsorted(E.sum(axis=1), range(r_lo, r_hi + 1), side="right")
+    comps, keys = bounds._parity_components(E, list(f.terms) + list(unit),
+                                            bounds._symmetry_classes(n, [f.terms, unit]))
+    results, solved = [[] for _ in ends], {}
+    for comp, key in zip(comps, keys):
+        first = key not in solved
+        if first:
+            ks = np.searchsorted(comp, ends).tolist()
+            A = bounds.moment_matrix(E[comp], E[comp], n, terms=f.terms)
+            B = bounds.moment_matrix(E[comp], E[comp], n)
+            L = scipy.linalg.lapack.dpotrf(B.T, lower=1)[0]
+            below = ks[-2] if len(ks) > 1 else 0
+            if below:
+                M = scipy.linalg.lapack.dsygst(A[:below, :below].copy(order="F"),
+                                               L[:below, :below], lower=1)[0]
+            solved[key] = []
+            for r, k in zip(range(r_lo, r_hi), ks):
+                w0, w1, q = bounds._solve_block(r, M[:k, :k]) if k else (None, None, None)
+                v = None if q is None else scipy.linalg.solve_triangular(
+                    L, np.pad(q, (0, len(L) - k)), trans="T", lower=True)[:k]
+                solved[key].append(None if q is None else (w0, w1, v, comp[:k]))
+            solved[key].append((*bounds._solve_block(r_hi, A.T, B.T), comp))
+        for level, res in zip(results, solved[key]):
+            if res is not None:
+                level.append(res if first else (*res[:2], None, None))
+    out = []
+    for level, size in zip(results, ends):
+        value, coeffs, gap = bounds._pick_winner(level, int(size))
+        out.append((value, coeffs, bool(gap < bounds.GAP_TOL)))
+    return out, [[None if res is None else res[0] for res in levels] for levels in solved.values()]
+
+
+def _skipped_solves(per_block):
+    """The (block, level) solves below the top that interlacing rules out,
+    from _sweep_reference's per-block values: block j at level i where its
+    top-level value lies more than GAP_TOL above an earlier block's level-i
+    value (a later block, or one itself skipped there, cannot lower it)."""
+    skipped = 0
+    for j, values in enumerate(per_block):
+        for i, w in enumerate(values[:-1]):
+            earlier = [other[i] for other in per_block[:j] if other[i] is not None]
+            skipped += w is not None and values[-1] > min(earlier, default=np.inf) + bounds.GAP_TOL
+    return skipped
+
+
+def _assert_sweep_equals_reference(f, n, r_lo, r_hi):
+    """level_bounds equals _sweep_reference bit for bit, with one pencil
+    eigh per distinct block and one standard eigh per lower-level solve that
+    _skipped_solves leaves.  Returns level_bounds' results and the
+    reference's per-block values."""
+    ref, per_block = _sweep_reference(f, n, r_lo, r_hi)
+    with mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh) as eigh:
+        got = level_bounds(f, n, r_lo, r_hi)
+    assert [res.r for res, _ in got] == list(range(r_lo, r_hi + 1))
+    for (res, _), (value, coeffs, degenerate) in zip(got, ref):
+        assert res.value == value
+        assert res.coeffs.tobytes() == coeffs.tobytes()
+        assert res.degenerate == degenerate
+    standard = sum(call.args[1] is None for call in eigh.call_args_list)
+    lower = sum(w is not None for values in per_block for w in values[:-1])
+    assert (standard, eigh.call_count - standard) == \
+        (lower - _skipped_solves(per_block), len(per_block))
+    return got, per_block
+
+
+class TestInterlacingPruning:
+    """level_bounds skips a block's lower-level solve where Cauchy
+    interlacing shows that the block can neither win nor tie the level,
+    and returns what solving every block returns."""
+
+    @pytest.mark.parametrize("f, n, lo, hi", [
+        (Polynomial.variable(5, 5), 5, 4, 12),
+        (_quartic_sum(6), 6, 2, 7),
+        (motzkin_form(), 3, 0, 9),
+        (random_poly(4, 4, np.random.default_rng(5), terms=12), 4, 1, 6),
+        (parse_poly("x1*x2*x3 + x1*x2", 3), 3, 0, 8),
+    ], ids=["x5", "quartic_sum6", "motzkin", "seeded_quartic4", "x1x2x3"])
+    def test_sweep_equals_all_blocks_reference(self, f, n, lo, hi):
+        _assert_sweep_equals_reference(f, n, lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_sweep_equals_all_blocks_reference_on_random_objectives(self, n, terms, seed):
+        f = random_poly(n, 4, np.random.default_rng(seed), terms=terms)
+        assume(not f.is_constant())
+        _assert_sweep_equals_reference(f, n, 0, {2: 8, 3: 6, 4: 4}[n])
+
+    def test_x5_sweep_skips_the_solves_interlacing_rules_out(self):
+        _, per_block = _assert_sweep_equals_reference(Polynomial.variable(5, 5), 5, 4, 16)
+        lower = sum(w is not None for values in per_block for w in values[:-1])
+        # 5 distinct blocks with 12 lower levels each; blocks 2..5 lie above
+        # the first block's values from r = 12, 9, 7 and 5 on
+        assert (len(per_block), lower, _skipped_solves(per_block)) == (5, 60, 30)
+
+
+class TestClosedFormSweeps:
+    """Sweeps against closed forms: one block, where nothing is skipped, and
+    a zonal objective, where blocks are skipped."""
+
+    @pytest.mark.parametrize("n, r_hi", [(3, 16), (4, 10), (5, 8)])
+    def test_generic_direction_linear_objective(self, n, r_hi):
+        # every coordinate is a parity shift, so the pencil is one block,
+        # and rotation invariance gives x_n's value, a root of P^(a,a)_{r+1}
+        u = np.random.default_rng(7).standard_normal(n)
+        u /= np.linalg.norm(u)
+        f = Polynomial(n, {tuple(int(i == j) for i in range(n)): float(c) for j, c in enumerate(u)})
+        with mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh) as eigh:
+            got = level_bounds(f, n, 1, r_hi)
+        # one block, solved at every level: nothing to skip
+        assert eigh.call_count == r_hi
+        alpha = (n - 3) / 2
+        checked = 0
+        for res, _ in got:
+            if not res.condition_warning:
+                ref = smallest_root(JacobiParams(alpha, alpha), res.r + 1)
+                assert abs(res.value - ref) <= 1e-10 * (1.0 + abs(res.value))
+                checked += 1
+        assert checked >= r_hi // 2
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_zonal_quartic_against_univariate_pencils(self, n):
+        # by Lukacs' theorem the level-r value for phi(x_n) is the least
+        # eigenvalue of phi(J_k)'s leading (r + 1 - k) block, k = 0 or 1,
+        # with J_k the Jacobi matrix of (1 - t^2)^(k + (n - 3)/2); larger
+        # k repeat k - 2 times (1 - t^2)^2
+        def phi(t):
+            return t @ t @ t @ t - t @ t
+
+        got, per_block = _assert_sweep_equals_reference(parse_poly(f"x{n}^4 - x{n}^2", n), n, 1, 10)
+        assert _skipped_solves(per_block) > 0
+        checked = 0
+        for res, _ in got:
+            refs = []
+            for k in (0, 1):
+                J = jacobi_matrix(JacobiParams(k + (n - 3) / 2, k + (n - 3) / 2), res.r + 3)
+                T = np.diag(J.diag) + np.diag(J.offdiag, 1) + np.diag(J.offdiag, -1)
+                size = res.r + 1 - k
+                refs.append(np.linalg.eigvalsh(phi(T)[:size, :size])[0])
+            if not res.condition_warning:
+                assert abs(res.value - min(refs)) <= 1e-9 * (1.0 + abs(res.value))
+                checked += 1
+        assert checked >= 5
 
 
 def _bumped(f, alpha):
