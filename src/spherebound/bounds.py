@@ -329,7 +329,7 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
     block is not solved at a lower level where an earlier block lies more
     than GAP_TOL below its level-basis.r eigenvalue: it could neither win
     nor tie there (_pick_winner); the dsygst stops at the largest level
-    still solved, but every level is still factored and dpocon-estimated.
+    still solved, but every level still gets its dpocon estimate.
     A block that a permutation of x1..x_{n-1} fixing both term sets maps
     onto an earlier one (same key) is not assembled, factored or solved: it
     repeats that block's eigenvalues at every level, and never wins.  Times
