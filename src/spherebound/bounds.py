@@ -34,7 +34,7 @@ from .basis import (BasisSpec, _parity_classes, check_level, gram_matrix_fractio
                     sphere_basis)
 from .cubature import NODE_BUDGET
 from .polynomials import Polynomial, as_index
-from .sampling import sphere_points
+from .sampling import sphere_points  # noqa: F401 (kept for wrappers by name)
 
 # 1-norm condition number of B (the Gram matrix, or A_q), as LAPACK dpocon
 # estimates it from the Cholesky factor, beyond which results carry a warning
@@ -46,6 +46,8 @@ GAP_TOL = 1e-10
 DPS_MIN = 16
 # inverse-iteration steps after which the extended-precision solve gives up
 HP_MAX_STEPS = 100
+# points of the sample on which rational_upper_bound checks that q > 0
+POSITIVITY_POINTS = 16_384
 
 
 class ConditioningError(RuntimeError):
@@ -411,8 +413,10 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
                 w0, w1, q = _solve_block(levels[i], M[:k, :k])
                 # v = L[:k, :k]^-T q, solved with all of L and q padded by zeros;
                 # the top level's eigh(A, B) has checked B, so L is finite
-                v = scipy.linalg.solve_triangular(L, np.pad(q, (0, len(L) - k)), trans="T",
-                                                  lower=True, check_finite=False)
+                padded = np.zeros(len(L))
+                padded[:k] = q
+                v = scipy.linalg.solve_triangular(L, padded, trans="T", lower=True,
+                                                  check_finite=False)
                 results[i].append((w0, w1, v[:k], comp[:k]))
             elif k and constant is None:
                 results[i].append((*_smallest_hp(L, M, k, dps), comp[:k]))
@@ -482,9 +486,10 @@ def rational_upper_bound(p, q, n, r, dps=None):
 
     Solves the pencil (A_p, A_q); the density constraint is the integral of
     q*h equal to 1, and coeffs is A_q-normalized.  The denominator is checked,
-    not certified: q must be positive on a 4,096-point quasirandom sample of
-    the sphere and A_q must be positive definite at this level.  A q that
-    dips below zero between the sample points can pass both checks.
+    not certified: q must be positive on a fixed POSITIVITY_POINTS-point
+    random sample of the sphere and A_q must be positive definite at this
+    level.  A q that dips below zero between the sample points can pass both
+    checks.
     """
     n, r = _check_args(n, r, [p, q], dps)
     if not q:
@@ -503,9 +508,12 @@ def rational_upper_bound(p, q, n, r, dps=None):
 
 @functools.cache
 def _positivity_sample(n):
-    """rational_upper_bound's 4,096 Sobol points (seed 11) on S^{n-1}, drawn
-    once per dimension and read-only, since every call shares them."""
-    points = sphere_points(4096, n, seed=11)
+    """rational_upper_bound's POSITIVITY_POINTS normalized Gaussian points on
+    S^{n-1}, drawn once per dimension and read-only, since every call shares
+    them.  RandomState(11), whose stream NumPy keeps fixed across versions
+    (NEP 19), makes the sample reproducible without scipy.stats."""
+    points = np.random.RandomState(11).standard_normal((POSITIVITY_POINTS, n))
+    points /= np.linalg.norm(points, axis=1)[:, None]
     points.flags.writeable = False
     return points
 

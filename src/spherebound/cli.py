@@ -62,8 +62,8 @@ def build_parser():
     q = sub.add_parser("rational", help="rational-objective upper bound as JSON",
                        description="Level-r upper bound on min p/q over the "
                                    "sphere. The positivity of q is checked, "
-                                   "not certified: q is sampled at 4,096 "
-                                   "quasirandom points and A_q must be "
+                                   "not certified: q is sampled at 16,384 "
+                                   "fixed random points and A_q must be "
                                    "positive definite.")
     q.add_argument("--p", required=True, help="numerator literal or file")
     q.add_argument("--q", required=True, help="denominator literal or file")

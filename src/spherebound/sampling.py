@@ -1,9 +1,9 @@
 """Quasirandom point sets on the unit sphere (fixed-seed, reproducible).
 
 scipy.stats, which holds the Sobol sampler, would be the package's slowest
-import, and only the denominator check of `rational_upper_bound` draws
-samples, so it is imported on the first call of `sphere_points`, not with
-the package.
+import, so it is imported on the first call of `sphere_points`, not with the
+package.  No solve path calls `sphere_points`: the denominator check of
+`rational_upper_bound` draws its own numpy sample.
 """
 
 from __future__ import annotations

@@ -410,12 +410,8 @@ class TestRational:
             rational_upper_bound(parse_poly("x1", 2), parse_poly("x1", 2), 2, 2)
 
     def test_indefinite_denominator_matrix_rejected(self, monkeypatch):
-        # q = x1 passes a sample that lies where x1 > 0, but A_q is indefinite;
-        # a fresh sample cache draws it and is dropped with the stub
-        monkeypatch.setattr(bounds, "_positivity_sample",
-                            functools.cache(bounds._positivity_sample.__wrapped__))
-        monkeypatch.setattr(bounds, "sphere_points",
-                            lambda count, n, seed=None: np.tile([1.0, 0.0], (count, 1)))
+        # q = x1 passes a sample that lies where x1 > 0, but A_q is indefinite
+        monkeypatch.setattr(bounds, "_positivity_sample", lambda n: np.tile([1.0, 0.0], (16, 1)))
         x1 = parse_poly("x1", 2)
         for dps in (None, 30):
             with pytest.raises(CertificationError, match="not certified positive") as info:
@@ -423,25 +419,37 @@ class TestRational:
             assert "sampled value" not in str(info.value)
 
     def test_positivity_sample_drawn_once_per_dimension(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_positivity_sample",
-                            functools.cache(bounds._positivity_sample.__wrapped__))
+        draw = bounds._positivity_sample.__wrapped__
         calls = []
 
-        def counting(count, n, seed=0):
-            calls.append((count, n, seed))
-            return sphere_points(count, n, seed=seed)
+        def counting(n):
+            calls.append(n)
+            return draw(n)
 
-        monkeypatch.setattr(bounds, "sphere_points", counting)
+        monkeypatch.setattr(bounds, "_positivity_sample", functools.cache(counting))
         p, q = parse_poly("x1", 2), parse_poly("2 + x1", 2)
         first = rational_upper_bound(p, q, 2, 3)
         for r in (1, 2, 3):
             rational_upper_bound(p, q, 2, r)
         rational_upper_bound(parse_poly("x1", 3), parse_poly("2 + x3", 3), 3, 1)
-        assert calls == [(4096, 2, 11), (4096, 3, 11)]
+        assert calls == [2, 3]
         assert rational_upper_bound(p, q, 2, 3).value == first.value
-        sample = bounds._positivity_sample(2)
-        assert not sample.flags.writeable
-        assert np.array_equal(sample, sphere_points(4096, 2, seed=11))
+        for n in (2, 3):
+            sample = bounds._positivity_sample(n)
+            assert not sample.flags.writeable
+            assert sample.shape == (16_384, n) == (bounds.POSITIVITY_POINTS, n)
+            assert np.allclose(np.linalg.norm(sample, axis=1), 1.0, rtol=0.0, atol=1e-15)
+            g = np.random.RandomState(11).standard_normal((16_384, n))
+            assert np.array_equal(sample, g / np.linalg.norm(g, axis=1)[:, None])
+
+    @pytest.mark.parametrize("n, degrees", [(3, 5), (4, 13), (5, 18), (6, 25)])
+    def test_denominator_negative_on_a_polar_cap_rejected(self, n, degrees):
+        # q = x_n + cos(theta) is negative on the cap of angular radius theta
+        # around -e_n; theta is the covering radius of sphere_points(4096, n,
+        # seed=11) rounded up, so no cap that sample catches is missed
+        q = Polynomial(n, {(0,) * (n - 1) + (1,): 1.0, (0,) * n: math.cos(math.radians(degrees))})
+        with pytest.raises(CertificationError, match="sampled value"):
+            rational_upper_bound(Polynomial.constant(n, 1.0), q, n, 1)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(CertificationError):

@@ -1,4 +1,5 @@
-"""Sphere sampling: scipy.stats loads on the first sample, and the points are fixed.
+"""Sphere sampling: scipy.stats loads on the first sample and on no solve path,
+and the points are fixed.
 
 The import checks need an interpreter that has not loaded scipy.stats yet,
 so they run in a child process started from the directory that holds the
@@ -45,3 +46,25 @@ def test_scipy_stats_loads_on_the_first_sample_and_points_are_unchanged():
     assert out["import"] == {"scipy.stats": False, "scipy.special": False}
     assert out["first_sample"] == {"scipy.stats": True, "scipy.special": True}
     assert out["same_points"] == {str(n): True for n in range(2, 7)}
+
+
+_RATIONAL_CHILD = r"""
+import contextlib, io, json, sys
+import spherebound, spherebound.cli
+
+p, q = spherebound.parse_poly("x1", 2), spherebound.parse_poly("2 + x1", 2)
+spherebound.rational_upper_bound(p, q, 2, 3)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = spherebound.cli.main(["rational", "--p", "x1", "--q", "2 + x1", "--n", "3",
+                                 "--r", "2"])
+print(json.dumps({"code": code,
+                  "loaded": [m for m in ("scipy.stats", "scipy.special") if m in sys.modules]}))
+"""
+
+
+def test_rational_bound_and_command_leave_scipy_stats_unloaded():
+    proc = subprocess.run([sys.executable, "-c", _RATIONAL_CHILD], capture_output=True,
+                          text=True, timeout=120,
+                          cwd=Path(spherebound.__file__).resolve().parents[1])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "loaded": []}
