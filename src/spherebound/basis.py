@@ -11,7 +11,6 @@ the same matrices exactly, in Fractions, for the extended-precision solve.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .moments import MomentOracle
+from .polynomials import _check_exponent_array, as_index, check_dimension
 
 # moment_matrix assembles about ASSEMBLY_ROWS * m2 entries at a time, to
 # bound its working memory
@@ -41,23 +41,10 @@ class BasisSpec:
 
 
 def check_level(n, r, *polys):
-    """Validated (n, r): integers (by operator.index) with n >= 2 and r >= 0.
-
-    Floats are rejected, not truncated, so 2.5 never silently becomes 2.
-    Each polynomial given must have dimension n.
-    """
-    try:
-        n = operator.index(n)
-        r = operator.index(r)
-    except TypeError:
-        raise ValueError(f"dimension and level must be integers, got n={n!r}, r={r!r}") from None
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if r < 0:
-        raise ValueError("level must be nonnegative")
-    for p in polys:
-        if p.n != n:
-            raise ValueError(f"polynomial dimension {p.n}, expected {n}")
+    """Validated (n, r): integers (by as_index, so 2.5 never becomes 2) with
+    n >= 2 and r >= 0, and each polynomial given of dimension n."""
+    n, r = as_index(n, "dimension", 2), as_index(r, "level", 0)
+    check_dimension(n, *polys)
     return n, r
 
 
@@ -108,6 +95,8 @@ def moment_matrix(E1, E2, n, terms=None):
     E1, E2 are integer exponent arrays of shapes (m1, n) and (m2, n);
     terms maps exponent tuples g to coefficients c_g, which are added onto
     zeros in mapping order, and defaults to {0: 1.0}, the Gram matrix.
+    n, E1, E2 and the keys of terms are checked first: a float, negative or
+    wrongly sized exponent raises ValueError.
     M_g[i, j] is the normalized moment of x^P, P = E1[i] + E2[j] + g: zero
     if any P_k is odd, else
     exp(c0 + sum_k lgamma((P_k + 1)/2) - lgamma((|P| + n)/2)).  The set-up
@@ -137,17 +126,18 @@ def moment_matrix(E1, E2, n, terms=None):
     c0 + lgamma_half[P].sum(axis=-1) - lgamma_sum[|P|]; for n >= 8 numpy
     sums in 8-way blocks and the two may differ in the last bit.
     """
-    E1 = np.asarray(E1, dtype=np.int64)
-    E2 = np.asarray(E2, dtype=np.int64)
+    n = as_index(n, "dimension", 1)
+    E1, E2 = _check_exponent_array(n, E1), _check_exponent_array(n, E2)
     if terms is None:
         terms = {(0,) * n: 1.0}
+    G = _check_exponent_array(n, list(terms)) if terms else None
     m1, m2 = len(E1), len(E2)
     out = np.zeros((m1, m2))
     if not (m1 and m2 and terms):
         return out
     coeffs = np.array(list(terms.values()), dtype=float)
     # C[t] = E2 + g_t, the column exponents of term t
-    C = E2 + np.array(list(terms), dtype=np.int64).reshape(-1, 1, n)
+    C = E2 + G[:, None, :]
     U = (E1 + 1) >> 1
     V = C >> 1
     # radix[k] - 1 is the largest half-exponent sum in coordinate k

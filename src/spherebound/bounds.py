@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -32,8 +31,8 @@ from scipy.linalg.lapack import dpocon, dpotrf, dsygst
 
 from .basis import (BasisSpec, _parity_classes, check_level, gram_matrix_fraction, moment_matrix,
                     sphere_basis)
-from .cubature import NODE_BUDGET
-from .polynomials import Polynomial, as_index
+from .cubature import check_budget
+from .polynomials import Polynomial, as_index, check_dimension
 from .sampling import sphere_points  # noqa: F401 (kept for wrappers by name)
 
 # 1-norm condition number of B (the Gram matrix, or A_q), as LAPACK dpocon
@@ -177,8 +176,7 @@ def _parity_components(elements, shifts, classes=None):
 
 def build_pencil(f, basis):
     """Assemble the whole pencil (A_f, B) over the given basis, unsplit."""
-    if f.n != basis.n:
-        raise ValueError(f"polynomial dimension {f.n}, basis dimension {basis.n}")
+    check_dimension(basis.n, f)
     E = basis.exponent_array()
     return Pencil(A=moment_matrix(E, E, basis.n, terms=f.terms),
                   B=moment_matrix(E, E, basis.n), basis=basis)
@@ -449,9 +447,8 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
 def _check_args(n, r, polys, dps):
     """check_level's (n, r), with dps an integer of at least DPS_MIN if set."""
     n, r = check_level(n, r, *polys)
-    if dps is not None and (not isinstance(dps, numbers.Integral) or dps < DPS_MIN):
-        raise ValueError(f"dps must be an integer number of digits of at least "
-                         f"{DPS_MIN} (float64 precision), got {dps!r}")
+    if dps is not None:
+        as_index(dps, "dps", DPS_MIN)
     return n, r
 
 
@@ -528,12 +525,8 @@ def check_grid(resolution, *dims):
     """density_grid's resolution, checked (with each dimension 3) before any solve."""
     if any(as_index(d, "dimension") != 3 for d in dims):
         raise ValueError("density grids are defined for n = 3 only")
-    resolution = as_index(resolution, "resolution")
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
-    if (resolution + 1) ** 2 > NODE_BUDGET:
-        raise ValueError(f"density grid needs {(resolution + 1) ** 2} points, "
-                         f"over the budget {NODE_BUDGET}")
+    resolution = as_index(resolution, "resolution", 1)
+    check_budget((resolution + 1) ** 2, "density grid", "points")
     return resolution
 
 
@@ -562,7 +555,7 @@ def grid_local_maxima(grid, resolution):
     phi wraps around (the duplicate phi = 2 pi column is dropped); the two
     pole rows are excluded since all their entries map to a single point.
     """
-    resolution = as_index(resolution, "resolution")
+    resolution = as_index(resolution, "resolution", 1)
     G = np.asarray(grid).reshape(resolution + 1, resolution + 1, 3)[:, :resolution]
     H = G[..., 2]
     # one wrapped column on each side, so every neighbor is a slice

@@ -22,8 +22,14 @@ from .orthopoly import QuadratureRule, gauss_rule
 from .polynomials import EVAL_BLOCK, Polynomial, as_index
 
 # most nodes a product or circle rule (and most points a density grid) may
-# have; larger ones are refused before any of their arrays is built
+# have; check_budget refuses larger ones before any of their arrays is built
 NODE_BUDGET = 5_000_000
+
+
+def check_budget(count, what, unit):
+    """Raise ValueError if count exceeds NODE_BUDGET: the one size rule."""
+    if count > NODE_BUDGET:
+        raise ValueError(f"{what} needs {count} {unit}, over the budget {NODE_BUDGET}")
 
 
 def circle_rule(d):
@@ -31,11 +37,11 @@ def circle_rule(d):
 
     Exact for trigonometric polynomials of degree <= d-1, and additionally
     for sin(d theta); it is not exact on cos(d theta) (the rule sums it to 1
-    while the integral is 0), so the certified degree is d-1.
+    while the integral is 0), so the certified degree is d-1.  More than
+    NODE_BUDGET nodes raise ValueError before any array is built.
     """
-    d = as_index(d, "node count")
-    if d < 1:
-        raise ValueError("need at least one node")
+    d = as_index(d, "node count", 1)
+    check_budget(d, "circle rule", "nodes")
     theta = 2.0 * math.pi * np.arange(d) / d
     nodes = np.column_stack([np.cos(theta), np.sin(theta)])
     weights = np.full(d, 1.0 / d)
@@ -51,13 +57,8 @@ def sphere_product_rule(n, d):
     A rule of more than NODE_BUDGET nodes raises ValueError before any grid
     is built.
     """
-    n = as_index(n, "dimension")
-    d = as_index(d, "parameter d")
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if d < 1:
-        raise ValueError("parameter d must be at least 1")
-    _check_budget(2 * d ** (n - 1))
+    n, d = as_index(n, "dimension", 2), as_index(d, "parameter d", 1)
+    check_budget(2 * d ** (n - 1), "product rule", "nodes")
     if n == 2:
         base = circle_rule(2 * d)
         return QuadratureRule(nodes=base.nodes,
@@ -77,11 +78,6 @@ def sphere_product_rule(n, d):
     weights *= surface_area(n) / weights.sum()
     return QuadratureRule(nodes=nodes.reshape(-1, n), weights=weights,
                           exactness_degree=2 * d - 1)
-
-
-def _check_budget(count):
-    if count > NODE_BUDGET:
-        raise ValueError(f"product rule needs {count} nodes, over the budget {NODE_BUDGET}")
 
 
 def _product_grids(n, d):
@@ -148,7 +144,7 @@ def _monomials_up_to(n, deg):
 
 def select_rule_degree(f_degree, r):
     """Smallest d with 2d - 1 >= deg f + 2r."""
-    return max(1, (as_index(f_degree, "degree") + 2 * as_index(r, "level") + 2) // 2)
+    return max(1, (as_index(f_degree, "degree", 0) + 2 * as_index(r, "level", 0) + 2) // 2)
 
 
 def cubature_lower_bound(f, n, r):
@@ -168,12 +164,11 @@ def cubature_lower_bound(f, n, r):
     than NODE_BUDGET nodes raises ValueError before any grid is built.
     """
     n, r = check_level(n, r, f)
-    if n == 2:
-        count = max(1, f.degree + 2 * r + 1) | 1
-        _check_budget(count)
-        return float(f.eval_many(circle_rule(count).nodes).min())
     d = select_rule_degree(f.degree, r)
-    _check_budget(2 * d ** (n - 1))
+    count = (f.degree + 2 * r + 1) | 1 if n == 2 else 2 * d ** (n - 1)
+    check_budget(count, "certificate rule", "nodes")
+    if n == 2:
+        return float(f.eval_many(circle_rule(count).nodes).min())
     angle_grids, _ = _product_grids(n, d)
     groups = {}
     for a, c in f.terms.items():

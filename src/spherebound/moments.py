@@ -14,24 +14,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polynomials import _check_exponents, as_index
+from .polynomials import _check_exponents, as_index, check_dimension
 
 _LOG_PI = math.log(math.pi)
 
 
 def surface_area(n):
     """Total surface measure of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
-    n = as_index(n, "dimension")
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    n = as_index(n, "dimension", 1)
     return 2.0 * math.exp(0.5 * n * _LOG_PI - math.lgamma(0.5 * n))
 
 
 def ball_constant(d, lam):
     """Mass of the weight (1 - |x|^2)^(lam - 1/2) over the unit ball in R^d."""
-    d = as_index(d, "dimension")
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    d = as_index(d, "dimension", 1)
     lam = float(lam)
     if lam <= -0.5:
         raise ValueError("weight exponent requires lam > -1/2")
@@ -45,9 +41,7 @@ def interval_moment(k, nu):
     Returns the integral of t^k against the weight, divided by the weight's
     total mass.  Zero for odd k by symmetry.
     """
-    k = as_index(k, "moment order")
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
+    k = as_index(k, "moment order", 0)
     nu = float(nu)
     if nu <= -0.5:
         raise ValueError("weight exponent requires nu > -1/2")
@@ -62,10 +56,7 @@ class MomentOracle:
     """Monomial moments of the normalized surface measure on S^{n-1}."""
 
     def __init__(self, n):
-        n = as_index(n, "dimension")
-        if n < 2:
-            raise ValueError("sphere moments need dimension at least 2")
-        self.n = n
+        self.n = as_index(n, "dimension", 2)
 
     def moment(self, alpha):
         """Normalized moment of x^alpha, the exact moment_fraction rounded to float."""
@@ -90,7 +81,6 @@ class MomentOracle:
 
     def integrate(self, p):
         """Normalized integral of a polynomial over the sphere."""
-        if p.n != self.n:
-            raise ValueError(f"polynomial dimension {p.n}, oracle dimension {self.n}")
+        check_dimension(self.n, p)
         return sum(c * self.moment(a) for a, c in p.terms.items())
 

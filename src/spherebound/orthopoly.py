@@ -78,9 +78,7 @@ class TridiagonalMatrix:
 
 def jacobi_matrix(params, d):
     """Jacobi matrix of order d; its eigenvalues are the roots of P^{a,b}_d."""
-    d = as_index(d, "degree")
-    if d < 1:
-        raise ValueError("degree must be at least 1")
+    d = as_index(d, "degree", 1)
     a, b = params.a, params.b
     diag = np.zeros(d)
     diag[0] = (b - a) / (a + b + 2.0)

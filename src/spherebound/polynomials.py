@@ -27,12 +27,17 @@ class ParseError(ValueError):
         self.position = position
 
 
-def as_index(value, name):
-    """value as an int by operator.index: a float raises, so 2.5 never becomes 2."""
+def as_index(value, name, low=None):
+    """value as an int by operator.index, of at least low if given: the one
+    integer rule.  A float raises, so 2.5 never becomes 2."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        index = None
+    if index is None or low is not None and index < low:
+        floor = "" if low is None else f" of at least {low}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+    return index
 
 
 def _check_exponents(n, alpha):
@@ -45,6 +50,25 @@ def _check_exponents(n, alpha):
     if any(e < 0 for e in alpha):
         raise ValueError(f"negative exponent in {alpha}")
     return alpha
+
+
+def _check_exponent_array(n, E):
+    """E as an (m, n) int64 array, by _check_exponents' rules, one array test each."""
+    E = np.asarray(E)
+    if E.dtype.kind not in "iu":
+        raise ValueError(f"exponents must be integers, got an array of {E.dtype}")
+    if E.ndim != 2 or E.shape[1] != n:
+        raise ValueError(f"exponent array of shape {E.shape}, expected (m, {n})")
+    if (E < 0).any():
+        raise ValueError(f"negative exponent in {tuple(E[(E < 0).any(axis=1)][0].tolist())}")
+    return E.astype(np.int64, copy=False)
+
+
+def check_dimension(n, *polys):
+    """Raise unless every polynomial given has dimension n."""
+    for p in polys:
+        if p.n != n:
+            raise ValueError(f"polynomial dimension {p.n}, expected {n}")
 
 
 def _grevorder(alpha):
@@ -62,9 +86,7 @@ class Polynomial:
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
-        n = as_index(n, "dimension")
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
+        n = as_index(n, "dimension", 1)
         object.__setattr__(self, "n", n)
         clean = {}
         for alpha, c in (terms or {}).items():
@@ -92,8 +114,8 @@ class Polynomial:
     @classmethod
     def variable(cls, n, i):
         """The monomial x_i (1-based index)."""
-        i = as_index(i, "variable index")
-        if not 1 <= i <= n:
+        i = as_index(i, "variable index", 1)
+        if i > n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         alpha = [0] * n
         alpha[i - 1] = 1
@@ -153,9 +175,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        k = as_index(k, "power")
-        if k < 0:
-            raise ValueError("negative power")
+        k = as_index(k, "power", 0)
         out = Polynomial.constant(self.n, 1.0)
         for _ in range(k):
             out = out * self
@@ -163,8 +183,7 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other.n != self.n:
-                raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+            check_dimension(self.n, other)
             return other
         if isinstance(other, numbers.Real):
             return Polynomial.constant(self.n, other)

@@ -22,13 +22,11 @@ def sphere_points(m, n, seed=0):
     CDF and normalizing; the spherical Gaussian is rotation invariant.  The
     first call imports scipy.stats and scipy.special.
     """
+    m, n = as_index(m, "point count", 1), as_index(n, "dimension", 1)
     from scipy.special import ndtri
     from scipy.stats import qmc
 
-    m = as_index(m, "point count")
-    if m < 1:
-        raise ValueError("need at least one point")
-    sampler = qmc.Sobol(d=as_index(n, "dimension"), scramble=True, seed=seed)
+    sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
     # draw a power-of-two block to keep the Sobol set balanced
     u = sampler.random_base2(max(1, math.ceil(math.log2(m))))[:m]
     g = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))

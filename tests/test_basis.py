@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -447,6 +448,31 @@ class TestLocalizedKernel:
                 assert M.shape == (m1, m2)
         E = rng.integers(0, 4, size=(4, 3))
         assert np.array_equal(moment_matrix(E, E, 3, terms={}), np.zeros((4, 4)))
+
+    def test_bad_exponents_rejected_before_assembly(self):
+        # the rules of single exponent tuples, on every row and term key
+        E = np.array([[0, 0, 0], [1, 0, 1]])
+        empty = np.zeros((0, 3), dtype=np.int64)
+        cases = [
+            (np.array([[-2, 0, 0]]), E, None, "negative exponent in (-2, 0, 0)"),
+            (E, np.array([[0, 0, 0], [0, 3, -1]]), None, "negative exponent in (0, 3, -1)"),
+            (E, E, {(0, 0, 0): 1.0, (0, -1, 0): 2.0}, "negative exponent in (0, -1, 0)"),
+            (empty, E, {(-1, 0, 0): 1.0}, "negative exponent in (-1, 0, 0)"),
+            (E + 0.5, E, None, "exponents must be integers, got an array of float64"),
+            (E, E.astype(float), None, "exponents must be integers, got an array of float64"),
+            (E, E, {(2.0, 0, 0): 1.0}, "exponents must be integers, got an array of float64"),
+            (E[:, :2], E, None, "exponent array of shape (2, 2), expected (m, 3)"),
+            (E, E, {(2, 0): 1.0}, "exponent array of shape (1, 2), expected (m, 3)"),
+        ]
+        for E1, E2, terms, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                moment_matrix(E1, E2, 3, terms=terms)
+        # the same message as the exact moment gives
+        with pytest.raises(ValueError, match=re.escape("negative exponent in (-2, 0, 0)")):
+            MomentOracle(3).moment((-2, 0, 0))
+        # any integer dtype is taken, with the same matrix
+        assert np.array_equal(moment_matrix(E.astype(np.int32), E.astype(np.uint8), 3),
+                              moment_matrix(E, E, 3))
 
     def test_parity_beyond_64_coordinates(self, monkeypatch):
         # parity classes of 70 coordinates, with shifts that flip the last ones

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -18,15 +19,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_poly
-from spherebound import bounds, harness
+from spherebound import bounds, cubature, harness
 from spherebound import (CertificationError, ConditioningError, JacobiParams, MomentOracle,
                          Polynomial, ball_constant, build_pencil, circle_rule,
                          cubature_lower_bound, density_grid, extract_density, gauss_rule,
-                         grid_local_maxima, interval_moment, jacobi_matrix, motzkin_form,
-                         parse_poly, rational_upper_bound, smallest_root, sphere_basis,
-                         sphere_points, sphere_product_rule, surface_area, sweep,
+                         grid_local_maxima, interval_moment, jacobi_matrix, moment_matrix,
+                         motzkin_form, parse_poly, rational_upper_bound, smallest_root,
+                         sphere_basis, sphere_points, sphere_product_rule, surface_area, sweep,
                          upper_bound)
 from spherebound.bounds import level_bounds
+from spherebound.cubature import select_rule_degree
 
 S3 = 1.0 / math.sqrt(3.0)
 
@@ -193,8 +195,9 @@ class TestUpperBound:
         assert abs(upper_bound(f, 2, 2, dps=16).value + math.cos(math.pi / 6)) <= 1e-12
         assert upper_bound(f, 2, 2, dps=np.int64(20)).value == upper_bound(f, 2, 2, dps=20).value
         # dimensions and levels are integers, never truncated
-        for n, r in ((2, 2.5), (2.9, 2), (2.0, 2), (2, 2.0), ("2", 2)):
-            with pytest.raises(ValueError, match="integers"):
+        for n, r, name in ((2, 2.5, "level"), (2.9, 2, "dimension"), (2.0, 2, "dimension"),
+                           (2, 2.0, "level"), ("2", 2, "dimension")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 upper_bound(f, n, r)
         assert upper_bound(f, np.int64(2), np.int32(2)).value == upper_bound(f, 2, 2).value
 
@@ -319,7 +322,7 @@ class TestDensity:
             tracemalloc.stop()
         assert peak < 2 ** 20
         # the budget counts the (resolution + 1)^2 grid points
-        monkeypatch.setattr(bounds, "NODE_BUDGET", 121)
+        monkeypatch.setattr(cubature, "NODE_BUDGET", 121)
         assert density_grid(den, 3, resolution=10).shape == (121, 3)
         with pytest.raises(ValueError, match="needs 144 points"):
             density_grid(den, 3, resolution=11)
@@ -460,8 +463,8 @@ class TestRational:
             with pytest.raises(ValueError, match="dps .* at least 16"):
                 rational_upper_bound(parse_poly("x1", 2), parse_poly("2 + x1", 2),
                                      2, 2, dps=dps)
-        for n, r in ((2, 2.5), (2.9, 2)):
-            with pytest.raises(ValueError, match="integers"):
+        for n, r, name in ((2, 2.5, "level"), (2.9, 2, "dimension")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 rational_upper_bound(parse_poly("x1", 2), parse_poly("2 + x1", 2), n, r)
 
     def test_assembles_only_the_localized_matrices(self, monkeypatch):
@@ -1384,36 +1387,67 @@ def _motzkin_grid_density():
     return extract_density(upper_bound(motzkin_form(), 3, 2))
 
 
-# each public integer argument, as a call of that argument and a valid value
+def _floor(low, name):
+    """A floor and the message its argument, named name, gives at low - 1."""
+    return low, f"{name} must be an integer of at least {low}, got {low - 1}"
+
+
+# each public integer argument, as a call of that argument, a valid value,
+# its floor and the message at floor - 1: the integer rule's, except that
+# exponents keep the exponent rule's and density grids take n = 3 only
 _INTEGER_ARGUMENTS = {
-    "exponent": (lambda k: Polynomial(2, {(k, 0): 1.0}), 2),
-    "dimension": (lambda k: Polynomial(k, {}), 2),
-    "power": (lambda k: Polynomial.variable(3, 1) ** k, 2),
-    "variable index": (lambda k: Polynomial.variable(3, k), 2),
-    "circle_rule d": (lambda k: circle_rule(k).nodes, 5),
-    "sphere_product_rule n": (lambda k: sphere_product_rule(k, 2).nodes, 3),
-    "sphere_product_rule d": (lambda k: sphere_product_rule(3, k).nodes, 2),
-    "sphere_points m": (lambda k: sphere_points(k, 3), 10),
-    "sphere_points n": (lambda k: sphere_points(10, k), 3),
-    "density_grid n": (lambda k: density_grid(_motzkin_grid_density(), k, 4), 3),
-    "density_grid resolution": (lambda k: density_grid(_motzkin_grid_density(), 3, k), 4),
+    "exponent": (lambda k: Polynomial(2, {(k, 0): 1.0}), 2, 0, "negative exponent in (-1, 0)"),
+    "dimension": (lambda k: Polynomial(k, {}), 2, *_floor(1, "dimension")),
+    "power": (lambda k: Polynomial.variable(3, 1) ** k, 2, *_floor(0, "power")),
+    "variable index": (lambda k: Polynomial.variable(3, k), 2, *_floor(1, "variable index")),
+    "circle_rule d": (lambda k: circle_rule(k).nodes, 5, *_floor(1, "node count")),
+    "sphere_product_rule n": (lambda k: sphere_product_rule(k, 2).nodes, 3,
+                              *_floor(2, "dimension")),
+    "sphere_product_rule d": (lambda k: sphere_product_rule(3, k).nodes, 2,
+                              *_floor(1, "parameter d")),
+    "sphere_points m": (lambda k: sphere_points(k, 3), 10, *_floor(1, "point count")),
+    "sphere_points n": (lambda k: sphere_points(10, k), 3, *_floor(1, "dimension")),
+    "density_grid n": (lambda k: density_grid(_motzkin_grid_density(), k, 4), 3, 3,
+                       "density grids are defined for n = 3 only"),
+    "density_grid resolution": (lambda k: density_grid(_motzkin_grid_density(), 3, k), 4,
+                                *_floor(1, "resolution")),
     "grid_local_maxima resolution": (lambda k: grid_local_maxima(
-        density_grid(_motzkin_grid_density(), 3, 4), k), 4),
-    "surface_area n": (surface_area, 3),
-    "ball_constant d": (lambda k: ball_constant(k, 1.5), 2),
-    "interval_moment k": (lambda k: interval_moment(k, 0.5), 4),
-    "MomentOracle n": (lambda k: MomentOracle(k).n, 3),
-    "moment exponent": (lambda k: MomentOracle(3).moment((k, 2, 0)), 2),
-    "moment_fraction exponent": (lambda k: MomentOracle(3).moment_fraction((2, k, 0)), 2),
-    "jacobi_matrix d": (lambda k: jacobi_matrix(JacobiParams(1.0, 1.0), k).offdiag, 4),
-    "smallest_root d": (lambda k: smallest_root(JacobiParams(1.0, 1.0), k), 4),
-    "gauss_rule d": (lambda k: gauss_rule(0.5, k).nodes, 3),
+        density_grid(_motzkin_grid_density(), 3, 4), k), 4, *_floor(1, "resolution")),
+    "surface_area n": (surface_area, 3, *_floor(1, "dimension")),
+    "ball_constant d": (lambda k: ball_constant(k, 1.5), 2, *_floor(1, "dimension")),
+    "interval_moment k": (lambda k: interval_moment(k, 0.5), 4, *_floor(0, "moment order")),
+    "MomentOracle n": (lambda k: MomentOracle(k).n, 3, *_floor(2, "dimension")),
+    "moment exponent": (lambda k: MomentOracle(3).moment((k, 2, 0)), 2, 0,
+                        "negative exponent in (-1, 2, 0)"),
+    "moment_fraction exponent": (lambda k: MomentOracle(3).moment_fraction((2, k, 0)), 2, 0,
+                                 "negative exponent in (2, -1, 0)"),
+    "jacobi_matrix d": (lambda k: jacobi_matrix(JacobiParams(1.0, 1.0), k).offdiag, 4,
+                        *_floor(1, "degree")),
+    "smallest_root d": (lambda k: smallest_root(JacobiParams(1.0, 1.0), k), 4,
+                        *_floor(1, "degree")),
+    "gauss_rule d": (lambda k: gauss_rule(0.5, k).nodes, 3, *_floor(1, "degree")),
+    "moment_matrix n": (lambda k: moment_matrix(np.eye(3, dtype=int), np.eye(3, dtype=int), k), 3,
+                        *_floor(1, "dimension")),
+    "sphere_basis n": (lambda k: sphere_basis(k, 2).elements, 3, *_floor(2, "dimension")),
+    "sphere_basis r": (lambda k: sphere_basis(3, k).elements, 2, *_floor(0, "level")),
+    "upper_bound n": (lambda k: upper_bound(parse_poly("x1", 2), k, 1).value, 2,
+                      *_floor(2, "dimension")),
+    "upper_bound r": (lambda k: upper_bound(parse_poly("x1", 2), 2, k).value, 2,
+                      *_floor(0, "level")),
+    "upper_bound dps": (lambda k: upper_bound(parse_poly("x1", 2), 2, 1, dps=k).value, 20,
+                        *_floor(16, "dps")),
+    "level_bounds r_hi": (lambda k: [res.value for res, _ in level_bounds(
+        parse_poly("x1", 2), 2, 0, k)], 2, *_floor(0, "level")),
+    "cubature_lower_bound r": (lambda k: cubature_lower_bound(parse_poly("x3", 3), 3, k), 2,
+                               *_floor(0, "level")),
+    "select_rule_degree degree": (lambda k: select_rule_degree(k, 2), 1, *_floor(0, "degree")),
+    "select_rule_degree r": (lambda k: select_rule_degree(1, k), 2, *_floor(0, "level")),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_INTEGER_ARGUMENTS))
 def test_integer_arguments_are_never_truncated(name):
-    call, good = _INTEGER_ARGUMENTS[name]
+    call, good, *_ = _INTEGER_ARGUMENTS[name]
     for bad in (good + 0.5, float(good), str(good)):
         with pytest.raises(ValueError, match="integer"):
             call(bad)
@@ -1423,3 +1457,10 @@ def test_integer_arguments_are_never_truncated(name):
         assert np.array_equal(got, expect)
     else:
         assert got == expect
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_one_below_their_floor(name):
+    call, _, low, message = _INTEGER_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(low - 1)

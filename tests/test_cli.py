@@ -77,6 +77,22 @@ class TestBoundCommand:
                      "--dps", "15"]) == 2
         assert "at least 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "--poly", "x1", "--n", "1", "--r", "1"],
+         "dimension must be an integer of at least 2, got 1"),
+        (["sweep", "--poly", "x1", "--n", "2", "--r-min", "-1", "--r-max", "2"],
+         "level must be an integer of at least 0, got -1"),
+        (["cubature", "--n", "3", "--d", "0"],
+         "parameter d must be an integer of at least 1, got 0"),
+        (["density-grid", "--poly", "x3", "--n", "3", "--r", "1", "--resolution", "0"],
+         "resolution must be an integer of at least 1, got 0"),
+        (["bound", "--poly", "x1", "--n", "2", "--r", "1", "--dps", "8"],
+         "dps must be an integer of at least 16, got 8"),
+    ])
+    def test_integer_below_its_floor_is_input_failure(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_variable_out_of_range_is_input_failure(self):
         assert main(["bound", "--poly", "x3", "--n", "2", "--r", "1"]) == 2
 

@@ -60,6 +60,22 @@ class TestCircleRule:
             vals = np.asarray(rule.nodes)[:, 0]
             assert_allclose(vals.min(), math.cos(2 * math.pi * r / d), rtol=1e-14)
 
+    def test_node_budget_refused_before_any_array(self, monkeypatch):
+        # 5,000,001 nodes would take 120 MB in nodes and weights
+        count = cubature.NODE_BUDGET + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"circle rule needs {count} nodes, over the budget"):
+                circle_rule(count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        monkeypatch.setattr(cubature, "NODE_BUDGET", 10)
+        assert circle_rule(10).size == 10
+        with pytest.raises(ValueError, match="circle rule needs 11 nodes, over the budget 10"):
+            circle_rule(11)
+
 
 class TestQuadratureRule:
     def test_fields_are_nodes_weights_and_degree(self):
@@ -220,6 +236,12 @@ class TestLowerBound:
             with pytest.raises(ValueError, match="integer"):
                 select_rule_degree(*bad)
         assert select_rule_degree(np.int64(1), np.int64(4)) == 5
+
+    def test_rule_degree_floors(self):
+        with pytest.raises(ValueError, match="degree must be an integer of at least 0, got -7"):
+            select_rule_degree(-7, 2)
+        with pytest.raises(ValueError, match="level must be an integer of at least 0, got -1"):
+            select_rule_degree(1, -1)
 
     def test_last_coordinate_hits_gegenbauer_root(self):
         f = parse_poly("x3", 3)
