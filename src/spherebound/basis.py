@@ -212,11 +212,15 @@ def gram_matrix_fraction(elements, n, terms=None):
 
     The rational counterpart of moment_matrix with E1 = E2 = elements, as
     lists of Fractions; terms is as there, each c_g taken as Fraction(c_g),
-    and defaults to {0: 1}.  Each distinct moment is computed once per call.
+    and defaults to {0: 1}.  Elements and term keys are checked as there, the
+    loops run on the given ints, and each distinct moment is computed once.
     """
     oracle = MomentOracle(n)
     if terms is None:
         terms = {(0,) * n: 1}
+    for rows in (elements, list(terms)):
+        if len(rows):
+            _check_exponent_array(n, rows)
     terms = [(g, Fraction(c)) for g, c in terms.items()]
     moments = {}
     m = len(elements)

@@ -45,65 +45,66 @@ def _write_json(res, path):
 
 
 def build_parser():
+    # each argument that several commands take is defined once, in a parent parser
+    poly, n, r, dps, json_out, csv_out = (argparse.ArgumentParser(add_help=False)
+                                          for _ in range(6))
+    poly.add_argument("--poly", required=True,
+                      help="polynomial in x1..xn, as a literal or a file holding one")
+    n.add_argument("--n", type=int, required=True,
+                   help="number of variables: the sphere is S^{n-1} in R^n")
+    r.add_argument("--r", type=int, required=True,
+                   help="level: the density is the square of a polynomial of degree at most r")
+    dps.add_argument("--dps", type=int, default=None,
+                     help="decimal precision for the high-precision solve (at least 16)")
+    json_out.add_argument("--json", default=None, help="output file (default stdout)")
+    csv_out.add_argument("--csv", default=None, help="output file (default stdout)")
+
     parser = argparse.ArgumentParser(
         prog="spherebound",
         description="Sum-of-squares density upper bounds for polynomial "
                     "minimization on the unit sphere.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bound", help="single upper bound as JSON")
-    b.add_argument("--poly", required=True, help="polynomial literal or file")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--r", type=int, required=True)
-    b.add_argument("--dps", type=int, default=None,
-                   help="decimal precision for the high-precision solve (at least 16)")
-    b.add_argument("--json", default=None, help="output file (default stdout)")
+    sub.add_parser("bound", parents=[poly, n, r, dps, json_out],
+                   help="single upper bound as JSON").set_defaults(run=_cmd_bound)
 
-    q = sub.add_parser("rational", help="rational-objective upper bound as JSON",
-                       description="Level-r upper bound on min p/q over the "
-                                   "sphere. The positivity of q is checked, "
-                                   "not certified: q is sampled at 16,384 "
-                                   "fixed random points and A_q must be "
-                                   "positive definite.")
-    q.add_argument("--p", required=True, help="numerator literal or file")
-    q.add_argument("--q", required=True, help="denominator literal or file")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--dps", type=int, default=None)
-    q.add_argument("--json", default=None)
+    # --p and --q first, so that usage and missing-argument errors list them first
+    pq = argparse.ArgumentParser(add_help=False)
+    pq.add_argument("--p", required=True, help="numerator literal or file")
+    pq.add_argument("--q", required=True, help="denominator literal or file")
+    sub.add_parser("rational", parents=[pq, n, r, dps, json_out],
+                   help="rational-objective upper bound as JSON",
+                   description="Level-r upper bound on min p/q over the sphere. The positivity "
+                               "of q is checked, not certified: q is sampled at 16,384 fixed "
+                               "random points and A_q must be positive definite."
+                   ).set_defaults(run=_cmd_rational)
 
-    s = sub.add_parser("sweep", help="bounds over a level range as CSV")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--r-min", type=int, required=True)
-    s.add_argument("--r-max", type=int, required=True)
+    s = sub.add_parser("sweep", parents=[poly, n, dps, csv_out],
+                       help="bounds over a level range as CSV")
+    s.add_argument("--r-min", type=int, required=True, help="lowest level")
+    s.add_argument("--r-max", type=int, required=True, help="highest level")
     s.add_argument("--fmin", type=float, default=None,
-                   help="known minimum; prints the log-log slope of "
-                        "(bound - fmin) against r to stderr. At finite r a "
-                        "C/(r+s)^2 gap has slope -2r/(r+s), not -2 (f = x_n "
-                        "reads -1.78/-1.72/-1.66 for n = 3/4/5 over "
-                        "r = 10..16)")
+                   help="known minimum; prints the log-log slope of (bound - fmin) against r "
+                        "to stderr. At finite r a C/(r+s)^2 gap has slope -2r/(r+s), not -2 "
+                        "(f = x_n reads -1.78/-1.72/-1.66 for n = 3/4/5 over r = 10..16)")
     s.add_argument("--no-certificates", action="store_true",
                    help="skip cubature lower certificates")
-    s.add_argument("--dps", type=int, default=None)
-    s.add_argument("--csv", default=None, help="output file (default stdout)")
+    s.set_defaults(run=_cmd_sweep)
 
-    g = sub.add_parser("density-grid", help="optimal density on a grid as CSV")
-    g.add_argument("--poly", required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--r", type=int, required=True)
-    g.add_argument("--resolution", type=int, default=100)
-    g.add_argument("--dps", type=int, default=None)
-    g.add_argument("--csv", default=None)
+    g = sub.add_parser("density-grid", parents=[poly, n, r, dps, csv_out],
+                       help="optimal density on a grid as CSV")
+    g.add_argument("--resolution", type=int, default=100,
+                   help="steps per angle, for (resolution + 1)^2 points (default 100)")
+    g.set_defaults(run=_cmd_density_grid)
 
-    c = sub.add_parser("cubature", help="product cubature rule as CSV")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--d", type=int, required=True)
-    c.add_argument("--csv", default=None)
+    c = sub.add_parser("cubature", parents=[n, csv_out], help="product cubature rule as CSV")
+    c.add_argument("--d", type=int, required=True, help="rule exact to degree 2d - 1")
+    c.set_defaults(run=_cmd_cubature)
 
     t = sub.add_parser("reproduce-table1",
                        help="recompute the published Motzkin bounds and diff")
     t.add_argument("--csv", default=None, help="also write the sweep CSV")
+    t.set_defaults(run=_cmd_reproduce_table1)
     return parser
 
 
@@ -169,21 +170,10 @@ def _cmd_reproduce_table1(args):
     return EXIT_OK
 
 
-_HANDLERS = {
-    "bound": _cmd_bound,
-    "rational": _cmd_rational,
-    "sweep": _cmd_sweep,
-    "density-grid": _cmd_density_grid,
-    "cubature": _cmd_cubature,
-    "reproduce-table1": _cmd_reproduce_table1,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

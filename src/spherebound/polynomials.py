@@ -359,7 +359,6 @@ def parse_poly(text, n):
             i += 1
         coeff = sign
         expo = [0] * n
-        saw_factor = False
         while True:
             if i >= len(tokens):
                 raise ParseError("unexpected end of input", tokens[-1][2] + len(tokens[-1][1]))
@@ -387,13 +386,10 @@ def parse_poly(text, n):
                 i += 1
             else:
                 raise ParseError(f"unexpected operator {value!r}", pos)
-            saw_factor = True
             if i < len(tokens) and tokens[i][:2] == ("op", "*"):
                 i += 1
                 continue
             break
-        if not saw_factor:
-            raise ParseError("empty term", tokens[i][2] if i < len(tokens) else 0)
         result = result + Polynomial(n, {tuple(expo): coeff})
         if i < len(tokens):
             kind, value, pos = tokens[i]

@@ -141,6 +141,29 @@ class TestGramMatrix:
         assert set(calls) == {tuple(x + y + z for x, y, z in zip(a, b, g))
                               for a in elems for b in elems for g in terms}
 
+    def test_exact_localized_matrix_rejects_bad_exponents(self, monkeypatch):
+        # the elements and term keys are checked on their own, before any
+        # moment is summed, with moment_matrix's messages: a term key cannot
+        # cancel a negative element, and zip cannot drop a third exponent
+        def fail(self, alpha):
+            raise AssertionError("checked before any moment")
+
+        cases = [
+            ([(-1, 0)], {(2, 0): 1}, "negative exponent in (-1, 0)"),
+            ([(0.5, 0)], {(1, 0): 1}, "exponents must be integers, got an array of float64"),
+            ([(1, 0, 0)], None, "exponent array of shape (1, 3), expected (m, 2)"),
+            ([(1, 0)], {(0, 0): 1, (1, -1): 2}, "negative exponent in (1, -1)"),
+            ([(1, 0)], {(1.0, 0): 1}, "exponents must be integers, got an array of float64"),
+            ([], {(0, 0, 0): 1}, "exponent array of shape (1, 3), expected (m, 2)"),
+        ]
+        monkeypatch.setattr(MomentOracle, "moment_fraction", fail)
+        for elements, terms, message in cases:
+            E = np.array(elements) if elements else np.zeros((0, 2), dtype=np.int64)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                moment_matrix(E, E, 2, terms=terms)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                gram_matrix_fraction(elements, 2, terms)
+
     def test_matches_quasirandom_sampling(self):
         b = sphere_basis(3, 3)
         B = _gram(b)

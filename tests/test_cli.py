@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -13,6 +14,7 @@ import spherebound
 from spherebound import MOTZKIN_TEXT, surface_area, upper_bound
 from spherebound import cli
 from spherebound.cli import main
+from spherebound.harness import TABLE1_TOLERANCE, reproduce_table1
 from spherebound.polynomials import parse_poly
 
 
@@ -219,6 +221,46 @@ class TestReproduceCommand:
         assert "all 10 levels within" in stdout
         assert out.read_text().startswith(
             "r,bound,lower_certificate,basis_size,runtime_ms")
+
+    def test_mismatch_exits_4(self, monkeypatch, capsys):
+        def missed():
+            records, diffs, _ = reproduce_table1()
+            diffs[4] += 2 * TABLE1_TOLERANCE
+            return records, diffs, False
+
+        monkeypatch.setattr(cli, "reproduce_table1", missed)
+        assert main(["reproduce-table1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "reference mismatch beyond 0.0005\n"
+        lines = captured.out.splitlines()
+        assert len(lines) == 10
+        assert [line.endswith("MISMATCH") for line in lines] == [r == 4 for r in range(10)]
+
+
+def _commands():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_every_argument_has_help_and_shared_ones_agree(capsys):
+    takers, helps = {}, {}
+    for name, command in _commands().items():
+        for action in command._actions:
+            assert action.help, (name, action.option_strings)
+            # reproduce-table1 --csv means "also write the sweep CSV"
+            if name != "reproduce-table1":
+                for flag in action.option_strings:
+                    takers.setdefault(flag, []).append(name)
+                    helps.setdefault(flag, set()).add(action.help)
+        with pytest.raises(SystemExit) as info:
+            main([name, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: spherebound {name} ")
+    shared = {flag: len(names) for flag, names in takers.items() if len(names) > 1}
+    assert shared == {"-h": 5, "--help": 5, "--poly": 3, "--n": 5, "--r": 3, "--dps": 4,
+                      "--json": 2, "--csv": 3}
+    assert {flag: texts for flag, texts in helps.items() if len(texts) > 1} == {}
 
 
 def test_module_entry_point():

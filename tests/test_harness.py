@@ -2,10 +2,11 @@
 
 import io
 import math
+import re
 
 import pytest
 
-from spherebound import (Polynomial, SweepRecord, fit_rate, load_sweep_csv,
+from spherebound import (Polynomial, SweepRecord, cubature, fit_rate, load_sweep_csv,
                          motzkin_form, parse_poly, reproduce_table1, save_sweep_csv,
                          sweep)
 from spherebound.harness import TABLE1_REFERENCE
@@ -57,6 +58,12 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate(records, 0.0, r_window=(1, 3))
 
+    def test_window_with_level_zero_rejected(self):
+        records = [SweepRecord(r=r, bound=1.0 / (r + 1) ** 2, lower_certificate=None,
+                               basis_size=0, runtime_ms=0.0) for r in range(6)]
+        with pytest.raises(ValueError, match=re.escape("rate fits need levels r >= 1")):
+            fit_rate(records, 0.0, r_window=(0, 5))
+
     def test_linear_objective_rate_on_two_sphere(self):
         records = sweep(parse_poly("x3", 3), 3, 4, 16, certificates=False)
         fit = fit_rate(records, -1.0)
@@ -88,6 +95,17 @@ class TestSweep:
             r = rec.r
             assert -math.cos(math.pi / (2 * r + 2)) - 1e-10 <= rec.bound
             assert rec.bound <= -math.cos(math.pi / (2 * r + 1)) + 1e-10
+
+    def test_certificate_over_the_node_budget_is_left_out(self, monkeypatch):
+        # x3's certificates on S^2 take rules of 8, 18 and 32 nodes at
+        # r = 1..3, so a budget of 10 leaves only the r = 1 certificate
+        monkeypatch.setattr(cubature, "NODE_BUDGET", 10)
+        f = parse_poly("x3", 3)
+        records = sweep(f, 3, 1, 3)
+        assert [rec.lower_certificate is None for rec in records] == [False, True, True]
+        assert records[0].lower_certificate <= records[0].bound
+        assert [rec.bound for rec in records] == \
+               [rec.bound for rec in sweep(f, 3, 1, 3, certificates=False)]
 
     def test_table_reproduction(self):
         records, diffs, ok = reproduce_table1()
@@ -127,6 +145,14 @@ class TestCsv:
         assert len(lines) == 4
         back = load_sweep_csv(io.StringIO(buf.getvalue()))
         assert all(rec.lower_certificate is None for rec in back)
+
+    def test_blank_lines_are_skipped(self):
+        buf = io.StringIO()
+        save_sweep_csv(self._records(), buf)
+        header, *rows = buf.getvalue().splitlines()
+        spaced = "\n".join([header, "", rows[0], "  ", *rows[1:], "", ""])
+        assert load_sweep_csv(io.StringIO(spaced)) == load_sweep_csv(io.StringIO(buf.getvalue()))
+        assert len(rows) == 6
 
     def test_header_validation(self):
         with pytest.raises(ValueError):

@@ -88,6 +88,15 @@ class TestParse:
             assert info.value.position == position
         assert parse_poly("1e300*x1", 2).terms == {(1, 0): 1e300}
 
+    def test_misplaced_operator_and_missing_join_carry_positions(self):
+        for text, message, position in [
+                ("x1 + * x2", "unexpected operator '*'", 5),
+                ("x1 x2", "expected '+' or '-' between terms, got 'x2'", 3)]:
+            with pytest.raises(ParseError) as info:
+                parse_poly(text, 2)
+            assert str(info.value) == f"{message} (at position {position})"
+            assert info.value.position == position
+
 
 class TestEvaluate:
     def test_motzkin_vanishes_at_minimizers(self):
