@@ -8,14 +8,12 @@ rational bound share one solver: the plain one is its q = 1 case.  Both
 matrices couple only exponent tuples whose parities match through some
 monomial of the numerator or denominator, so the pencil splits into
 independent blocks; the solver exploits that split, which leaves every
-eigenvalue unchanged and keeps large levels tractable.  One loop over those
-blocks serves every objective and precision: each block is reduced once, in
-float64 or with dps from its exact A and B (one gram_matrix_fraction call
-each), and every level is solved from a leading block of the reduction,
-except where Cauchy interlacing shows that the block cannot hold that
-level's minimum.  Blocks that a permutation of x1..x_{n-1} fixing the
-numerator and the denominator maps onto each other have one spectrum, and
-are solved once.
+eigenvalue unchanged and keeps large levels tractable.  Each block is
+reduced once, in float64 or with dps from its exact A and B, and every level
+is solved from a leading block of the reduction, except where Cauchy
+interlacing shows that the block cannot hold that level's minimum.  Blocks
+that a permutation of x1..x_{n-1} fixing the numerator and the denominator
+maps onto each other have one spectrum, and are solved once.
 """
 
 from __future__ import annotations
@@ -297,11 +295,8 @@ def _pick_winner(results, size):
     within GAP_TOL of the global minimum; below that resolution the blocks
     are numerically tied and the first one is the canonical choice.
     """
-    lam0 = min(w0 for w0, _, _, _ in results)
-    others = sorted(w0 for w0, _, _, _ in results)[1:]
-    seconds = [w1 for _, w1, _, _ in results if w1 is not None]
-    cands = others + seconds
-    gap = (min(cands) - lam0) if cands else np.inf
+    lam0, *others = sorted(w0 for w0, *_ in results)
+    gap = min(others + [w1 for _, w1, _, _ in results if w1 is not None], default=np.inf) - lam0
     w0, _, vec, comp = next(res for res in results if res[0] <= lam0 + GAP_TOL)
     coeffs = np.zeros(size)
     coeffs[comp] = vec
@@ -311,31 +306,67 @@ def _pick_winner(results, size):
     return lam0, coeffs, gap
 
 
+def _kept(ks, w_top, floor):
+    """(index, size) of each lower level, top down, where a block of sizes ks whose top-level
+    eigenvalue is w_top can win or tie: by Cauchy interlacing a leading block's least
+    eigenvalue is at least w_top, so none where w_top lies more than GAP_TOL above floor."""
+    return [(i, ks[i]) for i in range(len(floor) - 1, -1, -1)
+            if ks[i] and w_top <= floor[i] + GAP_TOL]
+
+
+def _float_levels(levels, ks, floor, A, B, L):
+    """Float64 solves of one block: (level index, (w0, w1, v)) in the order done, and
+    (index of level r_hi - 1, None) after the dsygst.
+
+    A and B are the block at the top level, ks its size per level, L the Cholesky factor
+    of B.  eigh(A, B) solves the top level as if alone, overwriting A and B, which are then
+    freed.  One dsygst makes M = L^-1 A L^-T up to the largest level _kept leaves; each of
+    those levels is eigh of M[:k, :k], with v = L[:k, :k]^-T q solved with all of L and q
+    padded by zeros.
+    """
+    # copied: the top level's solve overwrites A and B (their transposes are
+    # LAPACK's F-order arrays)
+    M = A[:ks[-2], :ks[-2]].copy(order="F") if len(ks) > 1 else None
+    top = _solve_block(levels[-1], A.T, B.T, overwrite_a=True, overwrite_b=True)
+    del A, B
+    yield len(ks) - 1, top
+    kept = _kept(ks, top[0], floor)
+    if kept:  # up to the largest level still to solve
+        k = kept[0][1]
+        M = dsygst(M[:k, :k], L[:k, :k], lower=1, overwrite_a=1)[0]
+        yield len(ks) - 2, None
+    for i, k in kept:
+        w0, w1, q = _solve_block(levels[i], M[:k, :k])
+        # the top level's eigh(A, B) has checked B, so L is finite
+        padded = np.zeros(len(L))
+        padded[:k] = q
+        v = scipy.linalg.solve_triangular(L, padded, trans="T", lower=True, check_finite=False)
+        yield i, (w0, w1, v[:k])
+
+
+def _hp_levels(ks, floor, Afrac, Bfrac, dps):
+    """dps-digit solves of one block from its exact A and B, yielded as by _float_levels:
+    one _reduce_hp, then _smallest_hp at the top level and at each level _kept leaves."""
+    L, M = _reduce_hp(Afrac, Bfrac, dps)
+    top = _smallest_hp(L, M, ks[-1], dps)
+    yield len(ks) - 1, top
+    for i, k in _kept(ks, top[0], floor):
+        yield i, _smallest_hp(L, M, k, dps)
+
+
 def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, start=None):
     """(BoundResult, seconds) per level r_lo..basis.r (default basis.r) of (A_num, A_den).
 
-    Coefficients are A_den-normalized.  Each block B_i of the float A_den is
-    factored by Cholesky (in float64 a failure raises ConditioningError for
-    level basis.r before the block is solved at any level), and the
-    condition number is max ||B_i|| * max ||B_i^-1|| from dpocon, inf if a
-    block did not factor.  A constant objective passes its value as
-    constant: c*B = lambda*B needs no solve.  The basis comes degree by
-    degree, so a lower level's part of a block is its leading k x k block,
-    with factor L[:k, :k] and reduced matrix M[:k, :k], M = L^-1 A L^-T.
-    In float64, level basis.r is solved by eigh(A, B) as if alone, M comes
-    from one dsygst; with dps, L and M come from _reduce_hp of the exact A
-    and B, and every level from _smallest_hp.  By Cauchy interlacing a
-    leading block's least eigenvalue is at least the whole block's, so a
-    block is not solved at a lower level where an earlier block lies more
-    than GAP_TOL below its level-basis.r eigenvalue: it could neither win
-    nor tie there (_pick_winner); the dsygst stops at the largest level
-    still solved, but every level still gets its dpocon estimate.
-    A block that a permutation of x1..x_{n-1} fixing both term sets maps
-    onto an earlier one (same key) is not assembled, factored or solved: it
-    repeats that block's eigenvalues at every level, and never wins.  Times
-    run from start (default: the call): the top level carries the shared
-    work (with dps, the reduction), level basis.r - 1 the dsygst, each level
-    its own dpocon and solve.
+    Coefficients are A_den-normalized.  Each parity block's float A_den is
+    factored by Cholesky; without dps a failure raises ConditioningError for
+    level basis.r before any solve.  condition_number is max ||B_i|| * max
+    ||B_i^-1|| over a level's blocks, from dpocon, inf if a block did not
+    factor.  A constant objective passes its value as constant and takes no
+    solve; otherwise _float_levels (dps None) or _hp_levels solves each block
+    whose key no earlier block has, and a block with an earlier block's key
+    repeats its eigenvalues and never wins.  Times run from start (default:
+    the call): the top level carries the shared work, level basis.r - 1 the
+    dsygst, and each level its own norm, dpocon and solves.
     """
     marks = [time.perf_counter() if start is None else start]
     n, top = basis.n, basis.r
@@ -345,9 +376,11 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
     ends = np.searchsorted(E.sum(axis=1), levels, side="right")
     comps, keys = _parity_components(E, list(num_terms) + list(den_terms),
                                      _symmetry_classes(n, [num_terms, den_terms]))
-    results, norms, spent = [[] for _ in levels], [[] for _ in levels], [0.0] * len(levels)
-    orbits = {}  # key -> per level, the eigenvalues of the orbit's first block, no vector
-    solve_float = dps is None and constant is None
+    results, bnorms, rconds = ([[] for _ in levels] for _ in range(3))
+    if constant is not None:  # (c B, B): c, repeated if k > 1; e_1 is B-normalized (B_11 = 1)
+        results = [[(constant, constant if k > 1 else None, [1.0], [0])] for k in ends]
+    spent = [0.0] * len(levels)
+    orbits = {}  # key -> the (level index, w0, w1) of the orbit's first block
 
     def lap(i):
         marks.append(time.perf_counter())
@@ -355,90 +388,55 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
 
     for comp, key in zip(comps, keys):
         if key in orbits:  # repeating its first block's norms would move no max or min
-            for res, copies in zip(results, orbits[key]):
-                res += copies
+            for i, w0, w1 in orbits[key]:
+                results[i].append((w0, w1, None, None))
             continue
-        first = [len(res) for res in results]
         ks = np.searchsorted(comp, ends).tolist()
-        below = ks[-2] if len(ks) > 1 else 0
+        floor = [min((w0 for w0, *_ in res), default=np.inf) for res in results[:-1]]
         Ec = E[comp]
-        A = moment_matrix(Ec, Ec, n, terms=num_terms) if solve_float else None
-        B = moment_matrix(Ec, Ec, n, terms=den_terms)
-        # top level first, so its lap takes the shared work; the norms'
+        A = moment_matrix(Ec, Ec, n, num_terms) if dps is None and constant is None else None
+        B = moment_matrix(Ec, Ec, n, den_terms)
+        # top level first, so its lap takes the assembly; the norms'
         # temporaries come before L exists
-        for i in range(len(ks) - 1, -1, -1):
-            if ks[i]:
-                norms[i].append(float(np.linalg.norm(B[:ks[i], :ks[i]], 1)))
+        for i, k in reversed(list(enumerate(ks))):
+            if k:
+                bnorms[i].append(float(np.linalg.norm(B[:k, :k], 1)))
             lap(i)
         L, info = dpotrf(B.T, lower=1)
         if info and dps is None:
             raise ConditioningError(
                 f"B not numerically positive definite at level r={top}: Cholesky of a "
                 f"{len(comp)}x{len(comp)} block failed at leading minor {info}; retry with dps set")
-        for i in range(len(ks) - 1, -1, -1):
-            k = ks[i]
+        for i, k in reversed(list(enumerate(ks))):
             if k:  # a leading factor is complete below the minor that failed
-                bnorm = norms[i][-1]
-                norms[i][-1] = (bnorm, dpocon(L[:k, :k], bnorm, uplo="L")[0]
-                                if info == 0 or k < info else 0.0)
+                rconds[i].append(dpocon(L[:k, :k], bnorms[i][-1], uplo="L")[0]
+                                 if info == 0 or k < info else 0.0)
             lap(i)
-        if solve_float:
-            # the lower levels' block of A, copied: the top level's solve
-            # overwrites A and B (their transposes are LAPACK's F-order arrays)
-            M = A[:below, :below].copy(order="F")
-            results[-1].append((*_solve_block(top, A.T, B.T, overwrite_a=True,
-                                              overwrite_b=True), comp))
-            del A, B
-            lap(-1)
-        elif constant is None:
+        if constant is not None:
+            steps = ()
+        elif dps is None:
+            steps = _float_levels(levels, ks, floor, A, B, L)
+        else:
             elems_c = [basis.elements[i] for i in comp]
-            L, M = _reduce_hp(*(gram_matrix_fraction(elems_c, n, t)
-                                for t in (num_terms, den_terms)), dps)
-            results[-1].append((*_smallest_hp(L, M, ks[-1], dps), comp))
-            lap(-1)
-        if constant is None:
-            # skip the levels this block can neither win nor tie (see above)
-            w_top = results[-1][-1][0]
-            ks[:-1] = [k if all(w_top <= w0 + GAP_TOL for w0, *_ in res) else 0
-                       for k, res in zip(ks[:-1], results)]
-        below = max(ks[:-1], default=0)  # the largest level still to solve
-        if solve_float and below:
-            M = dsygst(M[:below, :below], L[:below, :below], lower=1, overwrite_a=1)[0]
-            lap(-2)
-        for i in range(len(ks) - 2, -1, -1):
-            k = ks[i]
-            if k and solve_float:
-                w0, w1, q = _solve_block(levels[i], M[:k, :k])
-                # v = L[:k, :k]^-T q, solved with all of L and q padded by zeros;
-                # the top level's eigh(A, B) has checked B, so L is finite
-                padded = np.zeros(len(L))
-                padded[:k] = q
-                v = scipy.linalg.solve_triangular(L, padded, trans="T", lower=True,
-                                                  check_finite=False)
-                results[i].append((w0, w1, v[:k], comp[:k]))
-            elif k and constant is None:
-                results[i].append((*_smallest_hp(L, M, k, dps), comp[:k]))
+            steps = _hp_levels(ks, floor, *(gram_matrix_fraction(elems_c, n, t)
+                                             for t in (num_terms, den_terms)), dps)
+        A = B = L = None  # so that _float_levels holds the only references, and frees A, B early
+        orbits[key] = []
+        for i, res in steps:
+            if res:
+                results[i].append((*res, comp[:ks[i]]))
+                orbits[key].append((i, *res[:2]))
             lap(i)
-        L = M = None  # freed before the next block is assembled
-        orbits[key] = [[(*res[:2], None, None) for res in level[j:]]
-                       for level, j in zip(results, first)]
     out = []
     for i, r in enumerate(levels):
         size = int(ends[i])
-        if constant is None:
-            value, coeffs, gap = _pick_winner(results[i], size)
-            degenerate = gap < GAP_TOL
-        else:
-            # every vector is optimal; e_1 is B-normalized (the Gram entry at 1,1 is 1)
-            value, coeffs, degenerate = constant, np.zeros(size), size > 1
-            coeffs[0] = 1.0
-        bmax = max(bnorm for bnorm, _ in norms[i])
-        bmin = min(rcond * bnorm for bnorm, rcond in norms[i])
-        cond = bmax / bmin if bmin > 0 else np.inf
+        value, coeffs, gap = _pick_winner(results[i], size)
+        bmin = min(rcond * bnorm for bnorm, rcond in zip(bnorms[i], rconds[i]))
+        cond = max(bnorms[i]) / bmin if bmin > 0 else np.inf
         res = BoundResult(n=n, r=r, value=value, coeffs=coeffs,
                           basis=BasisSpec(n=n, r=r, elements=basis.elements[:size]),
                           condition_number=cond, condition_warning=bool(cond > COND_LIMIT),
-                          degenerate=bool(degenerate))
+                          degenerate=bool(gap < GAP_TOL))
         lap(i)
         out.append((res, spent[i]))
     return out
@@ -468,7 +466,9 @@ def upper_bound(f, n, r, dps=None):
 def level_bounds(f, n, r_lo, r_hi, dps=None):
     """(upper_bound(f, n, r, dps), seconds) for r = r_lo..r_hi from the level-r_hi blocks
     (see _solve_pencil): exact at r_hi, with dps but for condition_number, else up to rounding.
-    Below r_hi a block is solved only where interlacing leaves it able to win."""
+    Below r_hi a block is solved only where interlacing leaves it able to win.  Level r_hi's
+    seconds carry the shared assembly, factorization and (with dps) reduction, level
+    r_hi - 1's the dsygst, and each level's its own norm, dpocon estimate and solves."""
     start = time.perf_counter()
     n, r_lo = _check_args(n, r_lo, [f], dps)
     _, r_hi = check_level(n, r_hi)

@@ -50,9 +50,9 @@ def sweep(f, n, r_lo, r_hi, certificates=True, dps=None):
 
     The bounds come from level_bounds: level r_hi's runtime_ms carries the
     shared assembly, factorization and (with dps) reduction, level r_hi - 1's
-    the dsygst up to the largest level still solved, every other level's
-    only its own solves (of the blocks that can still win it), and each its
-    own certificate, skipped when its rule would exceed cubature_lower_bound's budget.
+    the dsygst, and each level's its own norm and dpocon estimate of B, its
+    own solves (of the blocks that can still win it) and its own certificate,
+    skipped when its rule would exceed cubature_lower_bound's budget.
     """
     records = []
     for res, seconds in level_bounds(f, n, r_lo, r_hi, dps=dps):

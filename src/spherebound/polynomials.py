@@ -54,7 +54,10 @@ def _check_exponents(n, alpha):
 
 def _check_exponent_array(n, E):
     """E as an (m, n) int64 array, by _check_exponents' rules, one array test each."""
-    E = np.asarray(E)
+    try:
+        E = np.asarray(E)
+    except ValueError:  # ragged: the tuple rule names the tuple of another length
+        E = np.asarray([_check_exponents(n, alpha) for alpha in E])
     if E.dtype.kind not in "iu":
         raise ValueError(f"exponents must be integers, got an array of {E.dtype}")
     if E.ndim != 2 or E.shape[1] != n:

@@ -155,10 +155,13 @@ class TestGramMatrix:
             ([(1, 0)], {(0, 0): 1, (1, -1): 2}, "negative exponent in (1, -1)"),
             ([(1, 0)], {(1.0, 0): 1}, "exponents must be integers, got an array of float64"),
             ([], {(0, 0, 0): 1}, "exponent array of shape (1, 3), expected (m, 2)"),
+            ([(1, 0), (1,)], None, "exponent tuple (1,) has length 1, expected 2"),
+            ([(1,), (1, 0)], {(0, 0): 1}, "exponent tuple (1,) has length 1, expected 2"),
+            ([(0, 0)], {(1, 0): 1.0, (1,): 2.0}, "exponent tuple (1,) has length 1, expected 2"),
         ]
         monkeypatch.setattr(MomentOracle, "moment_fraction", fail)
         for elements, terms, message in cases:
-            E = np.array(elements) if elements else np.zeros((0, 2), dtype=np.int64)
+            E = elements if elements else np.zeros((0, 2), dtype=np.int64)
             with pytest.raises(ValueError, match=re.escape(message)):
                 moment_matrix(E, E, 2, terms=terms)
             with pytest.raises(ValueError, match=re.escape(message)):

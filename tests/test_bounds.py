@@ -1103,6 +1103,32 @@ class TestLevelBounds:
         sweep(_quartic_sum(6), 6, 2, 9, certificates=False)
         assert calls == {"moment_matrix": 24, "pencil": 12}
 
+    @pytest.mark.parametrize("name, f, n, lo, hi, dps", [
+        ("moment_matrix", "x3", 3, 2, 8, None), ("dsygst", "x3", 3, 2, 8, None),
+        ("dpocon", "x3", 3, 2, 8, None), ("_reduce_hp", "x1", 2, 1, 6, 30)])
+    def test_each_level_is_charged_its_own_work(self, monkeypatch, name, f, n, lo, hi, dps):
+        # every call of name sleeps PAUSE; the shared work (assembly, the
+        # extended-precision reduction) lands on level hi, the dsygst on
+        # level hi - 1, and each level's dpocon on that level, so a sweep's
+        # runtime_ms shows where the time goes
+        PAUSE = 0.05
+        fn, calls = getattr(bounds, name), []
+
+        def paused(*args, **kwargs):
+            calls.append(name)
+            time.sleep(PAUSE)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, paused)
+        seconds = {res.r: s for res, s in level_bounds(parse_poly(f, n), n, lo, hi, dps=dps)}
+        if name == "dpocon":  # x3 on S^2 has 3 distinct blocks, each at every level
+            assert len(calls) == 3 * len(seconds) == 21
+            assert all(3 * PAUSE <= s < 4 * PAUSE for s in seconds.values())
+        else:
+            charged = seconds.pop(hi - 1 if name == "dsygst" else hi)
+            assert calls and charged >= len(calls) * PAUSE
+            assert all(s < PAUSE for s in seconds.values())
+
     def test_sweep_fails_at_the_top_level_without_per_level_solves(self, monkeypatch):
         # the level-21 Gram matrix of S^2 does not factor in float64; levels
         # 18..20 do, but are neither assembled nor solved on their own
