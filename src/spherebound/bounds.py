@@ -4,20 +4,22 @@ The level-r bound for f on the sphere is the smallest generalized eigenvalue
 of the pencil (A_f, B) over the reduced monomial basis, where A_g holds the
 moments of g x^a x^b and B = A_1 is the Gram matrix.  The rational bound for
 p/q is the same problem with B replaced by A_q, so the plain bound and the
-rational bound share one solver: the plain one is its q = 1 case.  Both
-matrices couple only exponent tuples whose parities match through some
-monomial of the numerator or denominator, so the pencil splits into
-independent blocks; the solver exploits that split, which leaves every
-eigenvalue unchanged and keeps large levels tractable.  Each block is
-reduced once, in float64 or with dps from its exact A and B, and every level
-is solved from a leading block of the reduction, except where Cauchy
-interlacing shows that the block cannot hold that level's minimum.  Blocks
-that a permutation of x1..x_{n-1} fixing the numerator and the denominator
-maps onto each other have one spectrum, and are solved once.
+rational bound share one solver, which takes only the problem (p, q, n, the
+levels, dps) and times itself: the plain bound is its q = 1 case in every
+field, constants included.  Both matrices couple only exponent tuples whose
+parities match through some monomial of the numerator or denominator, so the
+pencil splits into independent blocks; the solver exploits that split, which
+leaves every eigenvalue unchanged and keeps large levels tractable.  Each
+block is reduced once, in float64 or with dps from its exact A and B, and
+every level is solved from a leading block of the reduction, except where
+Cauchy interlacing shows that the block cannot hold that level's minimum.
+Blocks that a permutation of x1..x_{n-1} fixing the numerator and the
+denominator maps onto each other have one spectrum, and are solved once.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import time
@@ -53,6 +55,10 @@ class ConditioningError(RuntimeError):
 
 class CertificationError(RuntimeError):
     """A required positivity certificate failed."""
+
+
+class _CholeskyError(ConditioningError):
+    """B did not factor: rational_upper_bound reports A_q as not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,7 @@ def _reduce_hp(Afrac, Bfrac, dps):
         try:
             L = mp.cholesky(mp.matrix(B)).tolist()
         except ValueError as exc:
-            raise ConditioningError(f"high-precision Cholesky failed (dps={dps}): {exc}") from exc
+            raise _CholeskyError(f"high-precision Cholesky failed (dps={dps}): {exc}") from exc
         Y = [_tri_solve(L, col) for col in zip(*A)]  # the columns of L^-1 A
         M = [_tri_solve(L, col) for col in zip(*Y)]  # the columns of L^-1 (L^-1 A)^T
         M = [[(a + b) / 2 for a, b in zip(row, col)] for row, col in zip(zip(*M), M)]
@@ -354,47 +360,48 @@ def _hp_levels(ks, floor, Afrac, Bfrac, dps):
         yield i, _smallest_hp(L, M, k, dps)
 
 
-def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, start=None):
-    """(BoundResult, seconds) per level r_lo..basis.r (default basis.r) of (A_num, A_den).
+def _solve_pencil(num_terms, den_terms, n, r_lo, r_hi, dps):
+    """(BoundResult, seconds) per level r_lo..r_hi of (A_num, A_den) over sphere_basis(n, r_hi).
 
     Coefficients are A_den-normalized.  Each parity block's float A_den is
     factored by Cholesky; without dps a failure raises ConditioningError for
-    level basis.r before any solve.  condition_number is max ||B_i|| * max
+    level r_hi before any solve.  condition_number is max ||B_i|| * max
     ||B_i^-1|| over a level's blocks, from dpocon, inf if a block did not
-    factor.  A constant objective passes its value as constant and takes no
-    solve; otherwise _float_levels (dps None) or _hp_levels solves each block
-    whose key no earlier block has, and a block with an earlier block's key
-    repeats its eigenvalues and never wins.  Times run from start (default:
-    the call): the top level carries the shared work, level basis.r - 1 the
-    dsygst, and each level its own norm, dpocon and solves.
+    factor.  A constant numerator over den_terms == _unit(n) takes no solve;
+    otherwise _float_levels (dps None) or _hp_levels solves the first block of
+    each key, and its records are written once more, without a vector, for
+    each other block of that key; those copies never win.  Times run from the
+    call: the top level carries the basis and the shared work, level r_hi - 1
+    the dsygst, and each level its own norm, dpocon and solves.
     """
-    marks = [time.perf_counter() if start is None else start]
-    n, top = basis.n, basis.r
-    levels = range(top if r_lo is None else r_lo, top + 1)
+    marks = [time.perf_counter()]
+    basis = sphere_basis(n, r_hi)
+    levels = range(r_lo, r_hi + 1)
     E = basis.exponent_array()
     # the level sizes: elements come in order of degree
     ends = np.searchsorted(E.sum(axis=1), levels, side="right")
     comps, keys = _parity_components(E, list(num_terms) + list(den_terms),
                                      _symmetry_classes(n, [num_terms, den_terms]))
     results, bnorms, rconds = ([[] for _ in levels] for _ in range(3))
-    if constant is not None:  # (c B, B): c, repeated if k > 1; e_1 is B-normalized (B_11 = 1)
-        results = [[(constant, constant if k > 1 else None, [1.0], [0])] for k in ends]
+    constant = all(sum(a) == 0 for a in num_terms) and den_terms == _unit(n)
+    if constant:  # (c B, B): c, repeated if k > 1; e_1 is B-normalized (B_11 = 1)
+        c = num_terms.get((0,) * n, 0.0)
+        results = [[(c, c if k > 1 else None, [1.0], [0])] for k in ends]
     spent = [0.0] * len(levels)
-    orbits = {}  # key -> the (level index, w0, w1) of the orbit's first block
+    orbit_sizes = collections.Counter(keys)
 
     def lap(i):
         marks.append(time.perf_counter())
         spent[i] += marks[-1] - marks[-2]
 
     for comp, key in zip(comps, keys):
-        if key in orbits:  # repeating its first block's norms would move no max or min
-            for i, w0, w1 in orbits[key]:
-                results[i].append((w0, w1, None, None))
+        if key not in orbit_sizes:  # written by its orbit's first block; same norms
             continue
+        copies = orbit_sizes.pop(key) - 1
         ks = np.searchsorted(comp, ends).tolist()
         floor = [min((w0 for w0, *_ in res), default=np.inf) for res in results[:-1]]
         Ec = E[comp]
-        A = moment_matrix(Ec, Ec, n, num_terms) if dps is None and constant is None else None
+        A = moment_matrix(Ec, Ec, n, num_terms) if dps is None and not constant else None
         B = moment_matrix(Ec, Ec, n, den_terms)
         # top level first, so its lap takes the assembly; the norms'
         # temporaries come before L exists
@@ -404,15 +411,15 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
             lap(i)
         L, info = dpotrf(B.T, lower=1)
         if info and dps is None:
-            raise ConditioningError(
-                f"B not numerically positive definite at level r={top}: Cholesky of a "
+            raise _CholeskyError(
+                f"B not numerically positive definite at level r={r_hi}: Cholesky of a "
                 f"{len(comp)}x{len(comp)} block failed at leading minor {info}; retry with dps set")
         for i, k in reversed(list(enumerate(ks))):
             if k:  # a leading factor is complete below the minor that failed
                 rconds[i].append(dpocon(L[:k, :k], bnorms[i][-1], uplo="L")[0]
                                  if info == 0 or k < info else 0.0)
             lap(i)
-        if constant is not None:
+        if constant:
             steps = ()
         elif dps is None:
             steps = _float_levels(levels, ks, floor, A, B, L)
@@ -421,11 +428,9 @@ def _solve_pencil(num_terms, den_terms, basis, dps, constant=None, r_lo=None, st
             steps = _hp_levels(ks, floor, *(gram_matrix_fraction(elems_c, n, t)
                                              for t in (num_terms, den_terms)), dps)
         A = B = L = None  # so that _float_levels holds the only references, and frees A, B early
-        orbits[key] = []
         for i, res in steps:
             if res:
-                results[i].append((*res, comp[:ks[i]]))
-                orbits[key].append((i, *res[:2]))
+                results[i] += [(*res, comp[:ks[i]])] + [(*res[:2], None, None)] * copies
             lap(i)
     out = []
     for i, r in enumerate(levels):
@@ -466,16 +471,15 @@ def upper_bound(f, n, r, dps=None):
 def level_bounds(f, n, r_lo, r_hi, dps=None):
     """(upper_bound(f, n, r, dps), seconds) for r = r_lo..r_hi from the level-r_hi blocks
     (see _solve_pencil): exact at r_hi, with dps but for condition_number, else up to rounding.
-    Below r_hi a block is solved only where interlacing leaves it able to win.  Level r_hi's
-    seconds carry the shared assembly, factorization and (with dps) reduction, level
-    r_hi - 1's the dsygst, and each level's its own norm, dpocon estimate and solves."""
-    start = time.perf_counter()
+    Below r_hi a block is solved only where interlacing leaves it able to win.  The seconds
+    are the solver's, whose clock starts after these argument checks: level r_hi's carry the
+    basis, the shared assembly, factorization and (with dps) reduction, level r_hi - 1's the
+    dsygst, and each level's its own norm, dpocon estimate and solves."""
     n, r_lo = _check_args(n, r_lo, [f], dps)
     _, r_hi = check_level(n, r_hi)
     if r_lo > r_hi:
         raise ValueError("empty level range")
-    constant = f.constant_term() if f.is_constant() else None
-    return _solve_pencil(f.terms, _unit(n), sphere_basis(n, r_hi), dps, constant, r_lo, start)
+    return _solve_pencil(f.terms, _unit(n), n, r_lo, r_hi, dps)
 
 
 def rational_upper_bound(p, q, n, r, dps=None):
@@ -496,10 +500,9 @@ def rational_upper_bound(p, q, n, r, dps=None):
         raise CertificationError(
             f"q not certified positive at level r={r}: sampled value "
             f"{samples.min():.3e} on the sphere")
-    basis = sphere_basis(n, r)
     try:
-        return _solve_pencil(p.terms, q.terms, basis, dps)[0][0]
-    except ConditioningError as exc:
+        return _solve_pencil(p.terms, q.terms, n, r, r, dps)[0][0]
+    except _CholeskyError as exc:
         raise CertificationError(f"q not certified positive at level r={r}: {exc}") from exc
 
 
@@ -556,7 +559,11 @@ def grid_local_maxima(grid, resolution):
     pole rows are excluded since all their entries map to a single point.
     """
     resolution = as_index(resolution, "resolution", 1)
-    G = np.asarray(grid).reshape(resolution + 1, resolution + 1, 3)[:, :resolution]
+    grid = np.asarray(grid)
+    if grid.shape != ((resolution + 1) ** 2, 3):
+        raise ValueError(f"a density grid at resolution {resolution} must have "
+                         f"{(resolution + 1) ** 2} rows of 3 columns, got shape {grid.shape}")
+    G = grid.reshape(resolution + 1, resolution + 1, 3)[:, :resolution]
     H = G[..., 2]
     # one wrapped column on each side, so every neighbor is a slice
     W = np.concatenate([H[:, -1:], H, H[:, :1]], axis=1)

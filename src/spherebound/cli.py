@@ -13,8 +13,8 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .bounds import CertificationError, ConditioningError, check_grid, density_grid, \
-    extract_density, rational_upper_bound, upper_bound
+from .bounds import DPS_MIN, POSITIVITY_POINTS, CertificationError, ConditioningError, \
+    check_grid, density_grid, extract_density, rational_upper_bound, upper_bound
 from .cubature import save_rule_csv, sphere_product_rule
 from .harness import TABLE1_REFERENCE, TABLE1_TOLERANCE, fit_rate, reproduce_table1, \
     save_density_csv, save_sweep_csv, sweep
@@ -55,7 +55,7 @@ def build_parser():
     r.add_argument("--r", type=int, required=True,
                    help="level: the density is the square of a polynomial of degree at most r")
     dps.add_argument("--dps", type=int, default=None,
-                     help="decimal precision for the high-precision solve (at least 16)")
+                     help=f"decimal precision for the high-precision solve (at least {DPS_MIN})")
     json_out.add_argument("--json", default=None, help="output file (default stdout)")
     csv_out.add_argument("--csv", default=None, help="output file (default stdout)")
 
@@ -75,8 +75,9 @@ def build_parser():
     sub.add_parser("rational", parents=[pq, n, r, dps, json_out],
                    help="rational-objective upper bound as JSON",
                    description="Level-r upper bound on min p/q over the sphere. The positivity "
-                               "of q is checked, not certified: q is sampled at 16,384 fixed "
-                               "random points and A_q must be positive definite."
+                               "of q is checked, not certified: q is sampled at "
+                               f"{POSITIVITY_POINTS:,} fixed random points and A_q must be "
+                               "positive definite."
                    ).set_defaults(run=_cmd_rational)
 
     s = sub.add_parser("sweep", parents=[poly, n, dps, csv_out],

@@ -126,20 +126,27 @@ def save_sweep_csv(records, fh, fmt="%.12g"):
 
 
 def load_sweep_csv(fh):
-    """Read back a sweep CSV written by save_sweep_csv."""
+    """Read back a sweep CSV written by save_sweep_csv; a malformed row raises
+    ValueError naming its 1-based line, and the column of a bad number."""
     header = fh.readline().strip()
     if header != "r,bound,lower_certificate,basis_size,runtime_ms":
         raise ValueError(f"unexpected sweep CSV header: {header!r}")
     records = []
-    for line in fh:
+    for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
             continue
-        r, bound, lower, size, ms = line.split(",")
-        records.append(SweepRecord(
-            r=int(r), bound=float(bound),
-            lower_certificate=None if lower == "" else float(lower),
-            basis_size=int(size), runtime_ms=float(ms)))
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"sweep CSV line {lineno}: expected 5 fields, got {len(fields)}")
+        row = {}
+        # the columns are SweepRecord's fields, in order
+        for column, text, kind in zip(header.split(","), fields, (int, float, float, int, float)):
+            try:
+                row[column] = None if column == "lower_certificate" and text == "" else kind(text)
+            except ValueError as exc:
+                raise ValueError(f"sweep CSV line {lineno}, column {column}: {exc}") from None
+        records.append(SweepRecord(**row))
     return records
 
 

@@ -327,6 +327,14 @@ class TestDensity:
         with pytest.raises(ValueError, match="needs 144 points"):
             density_grid(den, 3, resolution=11)
 
+    def test_wrong_size_grid_named_before_reshape(self):
+        grid = density_grid(_motzkin_grid_density(), 3, 3)
+        assert np.array_equal(grid_local_maxima(grid, 3), _grid_local_maxima_reference(grid, 3))
+        for bad in (grid[:9], grid.ravel()[:27], grid[:, :2]):
+            with pytest.raises(ValueError, match=r"resolution 3 must have 16 rows of 3 columns, "
+                                                 rf"got shape \({len(bad)},"):
+                grid_local_maxima(bad, 3)
+
     def test_mode_structure_flips_between_levels(self):
         f = motzkin_form()
         den3 = extract_density(upper_bound(f, 3, 3))
@@ -383,6 +391,30 @@ class TestRational:
             assert a.value == b.value
             assert np.array_equal(a.coeffs, b.coeffs)
             assert a.condition_number == b.condition_number
+
+    @pytest.mark.parametrize("f, n, r, dps", [
+        *((Polynomial.constant(n, c), n, r, dps) for c in (4.5, -1.25, 0.0) for n in (2, 3, 4)
+          for r in (2, 5) for dps in (None, 30)),
+        (Polynomial.constant(2, 1.0), 2, 24, 30),
+        *((motzkin_form(), 3, r, None) for r in range(6)),
+        *((parse_poly("x1", 2), 2, r, None) for r in range(9)),
+    ])
+    def test_unit_denominator_is_the_plain_bound_in_every_field(self, f, n, r, dps):
+        # a constant numerator over q = 1 takes the constant path, as upper_bound does
+        a = rational_upper_bound(f, Polynomial.constant(n, 1.0), n, r, dps=dps)
+        b = upper_bound(f, n, r, dps=dps)
+        assert repr(a.value) == repr(b.value)
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        assert repr(a.condition_number) == repr(b.condition_number)
+        assert (a.condition_warning, a.degenerate) == (b.condition_warning, b.degenerate)
+        assert a.basis == b.basis
+
+    def test_unsettled_solve_is_not_a_denominator_failure(self):
+        # q = 2 + x1 > 0 and A_q factors; only the dps iteration fails to settle
+        q = parse_poly("2 + x1", 2)
+        with pytest.raises(ConditioningError) as info:
+            rational_upper_bound(q, q, 2, 20, dps=30)
+        assert "not certified positive" not in str(info.value)
 
     def test_equal_numerator_denominator_is_one(self):
         q = parse_poly("2 + x1", 2)

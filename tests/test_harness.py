@@ -158,6 +158,16 @@ class TestCsv:
         with pytest.raises(ValueError):
             load_sweep_csv(io.StringIO("r,bound\n1,0.5\n"))
 
+    def test_malformed_rows_name_their_line(self):
+        header = "r,bound,lower_certificate,basis_size,runtime_ms\n"
+        cases = [("1,0.5,,3,1.0\n2,0.5,3\n", "sweep CSV line 3: expected 5 fields, got 3"),
+                 ("1,abc,,3,1.0\n", "sweep CSV line 2, column bound: could not convert string "
+                                    "to float: 'abc'"),
+                 ("\n1,0.5,,x,1.0\n", "sweep CSV line 3, column basis_size: invalid literal")]
+        for rows, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_sweep_csv(io.StringIO(header + rows))
+
     def test_reruns_are_deterministic(self):
         a = self._records()
         b = self._records()
