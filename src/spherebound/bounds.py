@@ -4,9 +4,10 @@ The level-r bound for f on the sphere is the smallest generalized eigenvalue
 of the pencil (A_f, B) over the reduced monomial basis, where A_g holds the
 moments of g x^a x^b and B = A_1 is the Gram matrix.  The rational bound for
 p/q is the same problem with B replaced by A_q, so the plain bound and the
-rational bound share one solver, which takes only the problem (p, q, n, the
-levels, dps) and times itself: the plain bound is its q = 1 case in every
-field, constants included.  Both matrices couple only exponent tuples whose
+rational bound share one solver, which takes only the problem (the
+polynomials p and q, the levels, dps) and times itself: the plain bound is
+its q = 1 case in every field, and a constant over a constant is the
+quotient rounded up.  Both matrices couple only exponent tuples whose
 parities match through some monomial of the numerator or denominator, so the
 pencil splits into independent blocks; the solver exploits that split, which
 leaves every eigenvalue unchanged and keeps large levels tractable.  Each
@@ -186,11 +187,6 @@ def build_pencil(f, basis):
                   B=moment_matrix(E, E, basis.n), basis=basis)
 
 
-def _unit(n):
-    """Terms of the constant polynomial 1, whose localized matrix is B."""
-    return {(0,) * n: 1.0}
-
-
 def _solve_block(r, a, b=None, **kwargs):
     """Two smallest eigenvalues (the second None if 1x1) and first eigenvector
     of a's lower triangle, or of the pencil (a, b) for a positive definite b."""
@@ -360,33 +356,37 @@ def _hp_levels(ks, floor, Afrac, Bfrac, dps):
         yield i, _smallest_hp(L, M, k, dps)
 
 
-def _solve_pencil(num_terms, den_terms, n, r_lo, r_hi, dps):
-    """(BoundResult, seconds) per level r_lo..r_hi of (A_num, A_den) over sphere_basis(n, r_hi).
+def _solve_pencil(p, q, r_lo, r_hi, dps):
+    """(BoundResult, seconds) per level r_lo..r_hi of (A_p, A_q) over sphere_basis(p.n, r_hi).
 
-    Coefficients are A_den-normalized.  Each parity block's float A_den is
-    factored by Cholesky; without dps a failure raises ConditioningError for
-    level r_hi before any solve.  condition_number is max ||B_i|| * max
-    ||B_i^-1|| over a level's blocks, from dpocon, inf if a block did not
-    factor.  A constant numerator over den_terms == _unit(n) takes no solve;
-    otherwise _float_levels (dps None) or _hp_levels solves the first block of
+    Coefficients are A_q-normalized.  Blocks are factored in order, by a
+    float Cholesky of A_q; without dps the first block that does not factor
+    raises ConditioningError for level r_hi, after the blocks before it are
+    solved.  condition_number is max ||B_i|| * max ||B_i^-1|| over a level's
+    blocks, from dpocon, inf if a block did not factor.  Constants a over b
+    take no solve: a/b rounded up, with the A_q-normalized e_1 / sqrt(b).
+    Otherwise _float_levels (dps None) or _hp_levels solves the first block of
     each key, and its records are written once more, without a vector, for
     each other block of that key; those copies never win.  Times run from the
     call: the top level carries the basis and the shared work, level r_hi - 1
     the dsygst, and each level its own norm, dpocon and solves.
     """
     marks = [time.perf_counter()]
+    n = p.n
     basis = sphere_basis(n, r_hi)
     levels = range(r_lo, r_hi + 1)
     E = basis.exponent_array()
     # the level sizes: elements come in order of degree
     ends = np.searchsorted(E.sum(axis=1), levels, side="right")
-    comps, keys = _parity_components(E, list(num_terms) + list(den_terms),
-                                     _symmetry_classes(n, [num_terms, den_terms]))
+    comps, keys = _parity_components(E, list(p.terms) + list(q.terms),
+                                     _symmetry_classes(n, [p.terms, q.terms]))
     results, bnorms, rconds = ([[] for _ in levels] for _ in range(3))
-    constant = all(sum(a) == 0 for a in num_terms) and den_terms == _unit(n)
-    if constant:  # (c B, B): c, repeated if k > 1; e_1 is B-normalized (B_11 = 1)
-        c = num_terms.get((0,) * n, 0.0)
-        results = [[(c, c if k > 1 else None, [1.0], [0])] for k in ends]
+    constant = p.is_constant() and q.is_constant()
+    if constant:  # (a B, b B): a/b rounded up, repeated if k > 1; B_11 = 1
+        from fractions import Fraction
+        a, b = p.constant_term(), q.constant_term()
+        c = a / b if a / b >= Fraction(a) / Fraction(b) else math.nextafter(a / b, math.inf)
+        results = [[(c, c if k > 1 else None, [b ** -0.5], [0])] for k in ends]
     spent = [0.0] * len(levels)
     orbit_sizes = collections.Counter(keys)
 
@@ -401,8 +401,8 @@ def _solve_pencil(num_terms, den_terms, n, r_lo, r_hi, dps):
         ks = np.searchsorted(comp, ends).tolist()
         floor = [min((w0 for w0, *_ in res), default=np.inf) for res in results[:-1]]
         Ec = E[comp]
-        A = moment_matrix(Ec, Ec, n, num_terms) if dps is None and not constant else None
-        B = moment_matrix(Ec, Ec, n, den_terms)
+        A = moment_matrix(Ec, Ec, n, p.terms) if dps is None and not constant else None
+        B = moment_matrix(Ec, Ec, n, q.terms)
         # top level first, so its lap takes the assembly; the norms'
         # temporaries come before L exists
         for i, k in reversed(list(enumerate(ks))):
@@ -426,7 +426,7 @@ def _solve_pencil(num_terms, den_terms, n, r_lo, r_hi, dps):
         else:
             elems_c = [basis.elements[i] for i in comp]
             steps = _hp_levels(ks, floor, *(gram_matrix_fraction(elems_c, n, t)
-                                             for t in (num_terms, den_terms)), dps)
+                                             for t in (p.terms, q.terms)), dps)
         A = B = L = None  # so that _float_levels holds the only references, and frees A, B early
         for i, res in steps:
             if res:
@@ -469,17 +469,17 @@ def upper_bound(f, n, r, dps=None):
 
 
 def level_bounds(f, n, r_lo, r_hi, dps=None):
-    """(upper_bound(f, n, r, dps), seconds) for r = r_lo..r_hi from the level-r_hi blocks
-    (see _solve_pencil): exact at r_hi, with dps but for condition_number, else up to rounding.
-    Below r_hi a block is solved only where interlacing leaves it able to win.  The seconds
-    are the solver's, whose clock starts after these argument checks: level r_hi's carry the
-    basis, the shared assembly, factorization and (with dps) reduction, level r_hi - 1's the
-    dsygst, and each level's its own norm, dpocon estimate and solves."""
+    """(upper_bound(f, n, r, dps), seconds) for r = r_lo..r_hi: f over the constant 1 from the
+    level-r_hi blocks (see _solve_pencil): exact at r_hi, with dps but for condition_number,
+    else up to rounding.  Below r_hi a block is solved only where interlacing leaves it able to
+    win.  The seconds are the solver's, whose clock starts after these argument checks: level
+    r_hi's carry the basis, the shared assembly, factorization and (with dps) reduction, level
+    r_hi - 1's the dsygst, and each level's its own norm, dpocon estimate and solves."""
     n, r_lo = _check_args(n, r_lo, [f], dps)
     _, r_hi = check_level(n, r_hi)
     if r_lo > r_hi:
         raise ValueError("empty level range")
-    return _solve_pencil(f.terms, _unit(n), n, r_lo, r_hi, dps)
+    return _solve_pencil(f, Polynomial.constant(n, 1.0), r_lo, r_hi, dps)
 
 
 def rational_upper_bound(p, q, n, r, dps=None):
@@ -490,7 +490,8 @@ def rational_upper_bound(p, q, n, r, dps=None):
     not certified: q must be positive on a fixed POSITIVITY_POINTS-point
     random sample of the sphere and A_q must be positive definite at this
     level.  A q that dips below zero between the sample points can pass both
-    checks.
+    checks.  A constant a over a constant b takes no solve and gives a/b
+    rounded up to the least float not below it.
     """
     n, r = _check_args(n, r, [p, q], dps)
     if not q:
@@ -501,7 +502,7 @@ def rational_upper_bound(p, q, n, r, dps=None):
             f"q not certified positive at level r={r}: sampled value "
             f"{samples.min():.3e} on the sphere")
     try:
-        return _solve_pencil(p.terms, q.terms, n, r, r, dps)[0][0]
+        return _solve_pencil(p, q, r, r, dps)[0][0]
     except _CholeskyError as exc:
         raise CertificationError(f"q not certified positive at level r={r}: {exc}") from exc
 

@@ -83,7 +83,9 @@ class Polynomial:
     """Sparse polynomial in n variables with float coefficients.
 
     Instances are immutable by convention: no method mutates ``terms`` after
-    construction, so values can be shared freely.
+    construction, so values can be shared freely.  terms is a dict from
+    exponent tuples to coefficients, or (exponents, coefficient) pairs,
+    summed in order.
     """
 
     __slots__ = ("n", "terms")
@@ -92,7 +94,7 @@ class Polynomial:
         n = as_index(n, "dimension", 1)
         object.__setattr__(self, "n", n)
         clean = {}
-        for alpha, c in (terms or {}).items():
+        for alpha, c in terms.items() if isinstance(terms, dict) else terms or ():
             alpha = _check_exponents(n, alpha)
             c = float(c)
             if c != 0.0:
@@ -112,11 +114,12 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n, c):
-        return cls(n, {(0,) * n: c})
+        return cls(n, {(0,) * as_index(n, "dimension", 1): c})
 
     @classmethod
     def variable(cls, n, i):
         """The monomial x_i (1-based index)."""
+        n = as_index(n, "dimension", 1)
         i = as_index(i, "variable index", 1)
         if i > n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
@@ -346,12 +349,19 @@ def parse_poly(text, n):
     Grammar: terms joined by + or -, each term a *-separated product of
     factors; a factor is a decimal literal or xI^E with integer E >= 0
     (^E optional).  Whitespace is insignificant.  A term whose coefficient
-    overflows to infinity is rejected at the literal that overflows it.
+    overflows to infinity is rejected at the literal that overflows it.  The
+    terms are summed in input order into one Polynomial, which checks n first
+    and takes each term as it is parsed, so a sum that overflows is rejected
+    at its term, before any later syntax error.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 0)
-    result = Polynomial.zero(n)
+    return Polynomial(n, _parse_terms(tokens, n))
+
+
+def _parse_terms(tokens, n):
+    """(exponents, coefficient) of each term of parse_poly's tokens, in input order."""
     i = 0
     while i < len(tokens):
         sign = 1.0
@@ -393,9 +403,8 @@ def parse_poly(text, n):
                 i += 1
                 continue
             break
-        result = result + Polynomial(n, {tuple(expo): coeff})
+        yield tuple(expo), coeff
         if i < len(tokens):
             kind, value, pos = tokens[i]
             if kind != "op" or value not in "+-":
                 raise ParseError(f"expected '+' or '-' between terms, got {value!r}", pos)
-    return result

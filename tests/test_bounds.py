@@ -33,6 +33,11 @@ from spherebound.cubature import select_rule_degree
 S3 = 1.0 / math.sqrt(3.0)
 
 
+def _unit(n):
+    """Terms of the constant polynomial 1, whose localized matrix is B."""
+    return {(0,) * n: 1.0}
+
+
 class TestUpperBound:
     def test_level_zero_is_the_mean(self):
         res = upper_bound(motzkin_form(), 3, 0)
@@ -165,7 +170,7 @@ class TestUpperBound:
         res = upper_bound(f, 3, 6)
         comps, keys = bounds._parity_components(
             res.basis.elements, list(f.terms) + [(0, 0, 0)],
-            bounds._symmetry_classes(3, [f.terms, bounds._unit(3)]))
+            bounds._symmetry_classes(3, [f.terms, _unit(3)]))
         # x1 <-> x2 maps the blocks of parities (1, 0, *) and (0, 1, *) onto each other
         blocks = len(set(keys))
         assert 1 < blocks < len(comps)
@@ -379,6 +384,10 @@ def _to_points(maxima):
                             np.cos(t)])
 
 
+# (a, b) for the constant objective a / b
+_QUOTIENTS = [(3.0, 2.0), (1.0, 3.0), (-1.25, 4.0), (0.0, 2.0)]
+
+
 class TestRational:
     def test_unit_denominator_matches_polynomial_bound(self):
         # the plain bound is the q = 1 case of the same solver, bit for bit
@@ -408,6 +417,22 @@ class TestRational:
         assert repr(a.condition_number) == repr(b.condition_number)
         assert (a.condition_warning, a.degenerate) == (b.condition_warning, b.degenerate)
         assert a.basis == b.basis
+
+    @pytest.mark.parametrize("a, b, n, r, dps", [
+        *((a, b, n, r, dps) for a, b in _QUOTIENTS for n in (2, 3, 4)
+          for r, dps in [(0, None), (2, None), (5, None), (12, None), (2, 30), (5, 30)]),
+        *((a, b, 2, 24, 30) for a, b in _QUOTIENTS),
+    ])
+    def test_constant_over_constant_is_the_quotient_rounded_up(self, a, b, n, r, dps):
+        # every density gives a/b, so the bound is the least float not below it
+        res = rational_upper_bound(Polynomial.constant(n, a), Polynomial.constant(n, b), n, r,
+                                   dps=dps)
+        exact = Fraction(a) / Fraction(b)
+        assert Fraction(res.value) >= exact > Fraction(math.nextafter(res.value, -math.inf))
+        expect = np.zeros(len(res.basis))
+        expect[0] = b ** -0.5
+        assert res.coeffs.tobytes() == expect.tobytes()
+        assert res.degenerate == (len(res.basis) > 1)
 
     def test_unsettled_solve_is_not_a_denominator_failure(self):
         # q = 2 + x1 > 0 and A_q factors; only the dps iteration fails to settle
@@ -742,7 +767,7 @@ class TestAgainstReferences:
         for p, q, n, r in REFERENCE_CASES[name]:
             if q is None:
                 res = upper_bound(p, n, r)
-                den = bounds._unit(n)
+                den = _unit(n)
             else:
                 res = rational_upper_bound(p, q, n, r)
                 den = q.terms
@@ -760,7 +785,7 @@ class TestAgainstReferences:
 
     @pytest.mark.parametrize("p, q, n, r, dps", HP_REFERENCE_CASES)
     def test_hp_block_solve_matches_loop_reference(self, p, q, n, r, dps):
-        den = bounds._unit(n) if q is None else q.terms
+        den = _unit(n) if q is None else q.terms
         elements = sphere_basis(n, r).elements
         for comp in bounds._parity_components(elements, list(p.terms) + list(den))[0]:
             elems = [elements[i] for i in comp]
@@ -1088,7 +1113,7 @@ class TestLevelBounds:
         f = parse_poly("x1", 2)
         comps, keys = bounds._parity_components(
             sphere_basis(2, 12).elements, list(f.terms) + [(0, 0)],
-            bounds._symmetry_classes(2, [f.terms, bounds._unit(2)]))
+            bounds._symmetry_classes(2, [f.terms, _unit(2)]))
         level_bounds(f, 2, 1, 12, dps=40)
         # with x1 = cos t, the block of x1^a (a <= r) is p(cos t) with the
         # weight of T_{r+1}, least eigenvalue -cos(pi/(2r+2)); the block of
@@ -1118,7 +1143,7 @@ class TestLevelBounds:
         f = Polynomial.variable(5, 5)
         comps, keys = bounds._parity_components(
             sphere_basis(5, 16).elements, list(f.terms) + [(0,) * 5],
-            bounds._symmetry_classes(5, [f.terms, bounds._unit(5)]))
+            bounds._symmetry_classes(5, [f.terms, _unit(5)]))
         start = time.perf_counter()
         records = sweep(f, 5, 4, 16, certificates=False)
         wall_ms = (time.perf_counter() - start) * 1000.0
@@ -1190,7 +1215,7 @@ def _sweep_reference(f, n, r_lo, r_hi):
     degenerate) and, per distinct block, its least eigenvalue at each level
     (None where the block is empty).
     """
-    unit = bounds._unit(n)
+    unit = _unit(n)
     E = sphere_basis(n, r_hi).exponent_array()
     ends = np.searchsorted(E.sum(axis=1), range(r_lo, r_hi + 1), side="right")
     comps, keys = bounds._parity_components(E, list(f.terms) + list(unit),
@@ -1343,7 +1368,7 @@ def _bumped(f, alpha):
 
 def _blocks_and_orbits(p, n, r, q=None):
     """The number of blocks of the level-r pencil (A_p, A_q), and of orbits."""
-    den = bounds._unit(n) if q is None else q.terms
+    den = _unit(n) if q is None else q.terms
     _, keys = bounds._parity_components(sphere_basis(n, r).elements, list(p.terms) + list(den),
                                         bounds._symmetry_classes(n, [p.terms, den]))
     return len(keys), len(set(keys))
@@ -1355,7 +1380,7 @@ class TestSymmetryOrbits:
 
     def test_symmetry_classes(self):
         def classes(p, n, den=None):
-            return bounds._symmetry_classes(n, [p.terms, den or bounds._unit(n)])
+            return bounds._symmetry_classes(n, [p.terms, den or _unit(n)])
 
         assert classes(Polynomial.variable(5, 5), 5) == [[0, 1, 2, 3], [4]]
         assert classes(_quartic_sum(6), 6) == [[0, 1, 2, 3, 4], [5]]
@@ -1377,7 +1402,7 @@ class TestSymmetryOrbits:
     ])
     def test_orbit_keys_match_brute_force_orbits(self, p, q, r):
         n = p.n
-        den = bounds._unit(n) if q is None else q.terms
+        den = _unit(n) if q is None else q.terms
         elements = sphere_basis(n, r).elements
         comps, keys = bounds._parity_components(elements, list(p.terms) + list(den),
                                                 bounds._symmetry_classes(n, [p.terms, den]))
@@ -1399,7 +1424,7 @@ class TestSymmetryOrbits:
         blocks, distinct = _blocks_and_orbits(f, 3, 6)
         assert blocks == distinct > 1
         assert calls == {"moment_matrix": 2 * blocks, "pencil": blocks}
-        every = _solve_pencil_reference(f.terms, bounds._unit(3), res.basis, orbits=False)
+        every = _solve_pencil_reference(f.terms, _unit(3), res.basis, orbits=False)
         assert res.value == every[0]
 
     def test_one_ulp_off_symmetric_objective_agrees(self):
@@ -1435,7 +1460,7 @@ class TestSymmetryOrbits:
         res = upper_bound(f, n, r)
         comps, keys = bounds._parity_components(
             res.basis.elements, list(f.terms) + [(0,) * n],
-            bounds._symmetry_classes(n, [f.terms, bounds._unit(n)]))
+            bounds._symmetry_classes(n, [f.terms, _unit(n)]))
         winner = next(j for j, comp in enumerate(comps) if np.any(res.coeffs[comp]))
         assert keys.count(keys[winner]) >= 2
         assert res.degenerate
@@ -1456,6 +1481,9 @@ def _floor(low, name):
 _INTEGER_ARGUMENTS = {
     "exponent": (lambda k: Polynomial(2, {(k, 0): 1.0}), 2, 0, "negative exponent in (-1, 0)"),
     "dimension": (lambda k: Polynomial(k, {}), 2, *_floor(1, "dimension")),
+    "Polynomial.constant n": (lambda k: Polynomial.constant(k, 1.0), 2, *_floor(1, "dimension")),
+    "Polynomial.variable n": (lambda k: Polynomial.variable(k, 1), 2, *_floor(1, "dimension")),
+    "parse_poly n": (lambda k: parse_poly("x1", k), 2, *_floor(1, "dimension")),
     "power": (lambda k: Polynomial.variable(3, 1) ** k, 2, *_floor(0, "power")),
     "variable index": (lambda k: Polynomial.variable(3, k), 2, *_floor(1, "variable index")),
     "circle_rule d": (lambda k: circle_rule(k).nodes, 5, *_floor(1, "node count")),

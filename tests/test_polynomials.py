@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic, parsing, and sphere reduction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -87,6 +88,37 @@ class TestParse:
                 parse_poly(text, 2)
             assert info.value.position == position
         assert parse_poly("1e300*x1", 2).terms == {(1, 0): 1e300}
+
+    def test_terms_are_summed_in_input_order(self):
+        # a term that cancels leaves the dict, and comes back at the end
+        assert list(parse_poly("x1 - x1 + x2 + x1", 2).terms.items()) == [((0, 1), 1.0),
+                                                                         ((1, 0), 1.0)]
+        # a sum that overflows is refused at its term, before the later syntax error
+        with pytest.raises(ValueError, match=r"coefficient of \(1, 0\) is not finite: inf"):
+            parse_poly("1e308*x1 + 1e308*x1 + x1^", 2)
+
+    def test_one_polynomial_per_parse(self, monkeypatch):
+        # adding term by term would build a Polynomial per term, re-checking
+        # every earlier one: quadratic in the number of terms
+        expos = [e for e in itertools.product(range(13), repeat=4) if sum(e) <= 12]
+        text = " + ".join(f"{i + 1.5}*" + "*".join(f"x{k + 1}^{a}" for k, a in enumerate(e))
+                          for i, e in enumerate(expos))
+        init, calls = Polynomial.__init__, []
+
+        def counted(self, *args):
+            calls.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(Polynomial, "__init__", counted)
+        counts = []
+        for t in ("x1", text):
+            calls.clear()
+            p = parse_poly(t, 4)
+            counts.append(len(calls))
+        monkeypatch.undo()
+        assert len(expos) == 1820 and counts[0] == counts[1] <= 2
+        direct = Polynomial(4, {e: i + 1.5 for i, e in enumerate(expos)})
+        assert p == direct and list(p.terms) == list(direct.terms)
 
     def test_misplaced_operator_and_missing_join_carry_positions(self):
         for text, message, position in [
