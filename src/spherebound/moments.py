@@ -29,8 +29,8 @@ def ball_constant(d, lam):
     """Mass of the weight (1 - |x|^2)^(lam - 1/2) over the unit ball in R^d."""
     d = as_index(d, "dimension", 1)
     lam = float(lam)
-    if lam <= -0.5:
-        raise ValueError("weight exponent requires lam > -1/2")
+    if not -0.5 < lam < math.inf:
+        raise ValueError("weight exponent requires finite lam > -1/2")
     return math.exp(0.5 * d * _LOG_PI + math.lgamma(lam + 0.5)
                     - math.lgamma(lam + 0.5 * (d + 1)))
 
@@ -43,8 +43,8 @@ def interval_moment(k, nu):
     """
     k = as_index(k, "moment order", 0)
     nu = float(nu)
-    if nu <= -0.5:
-        raise ValueError("weight exponent requires nu > -1/2")
+    if not -0.5 < nu < math.inf:
+        raise ValueError("weight exponent requires finite nu > -1/2")
     if k % 2 == 1:
         return 0.0
     # B((k+1)/2, nu+1/2) / B(1/2, nu+1/2)

@@ -50,14 +50,14 @@ class JacobiParams:
     b: float
 
     def __post_init__(self):
-        if self.a <= -1 or self.b <= -1:
-            raise ValueError("Jacobi parameters require a > -1 and b > -1")
+        if not (-1 < self.a < np.inf and -1 < self.b < np.inf):
+            raise ValueError("Jacobi parameters require finite a > -1 and b > -1")
 
     @classmethod
     def gegenbauer(cls, lam):
         """Gegenbauer index lam maps to a = b = lam - 1/2."""
-        if lam <= -0.5:
-            raise ValueError("Gegenbauer index requires lam > -1/2")
+        if not -0.5 < lam < np.inf:
+            raise ValueError("Gegenbauer index requires finite lam > -1/2")
         return cls(a=lam - 0.5, b=lam - 0.5)
 
 

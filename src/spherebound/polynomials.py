@@ -85,7 +85,8 @@ class Polynomial:
     Instances are immutable by convention: no method mutates ``terms`` after
     construction, so values can be shared freely.  terms is a dict from
     exponent tuples to coefficients, or (exponents, coefficient) pairs,
-    summed in order.
+    summed in order: the one summation rule of +, -, gradient and
+    compose_linear.  A key whose sum reaches 0 leaves, and comes back last.
     """
 
     __slots__ = ("n", "terms")
@@ -150,10 +151,7 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, 0.0) + c
-        return Polynomial(self.n, out)
+        return Polynomial(self.n, [*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 
@@ -171,6 +169,7 @@ class Polynomial:
             other = float(other)
             return Polynomial(self.n, {a: c * other for a, c in self.terms.items()})
         other = self._coerce(other)
+        # its own sums: the constructor would move a key whose sum passes through 0 to the end
         out = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
@@ -254,16 +253,9 @@ class Polynomial:
 
     def gradient(self):
         """Partial derivatives [dp/dx1, ..., dp/dxn]."""
-        parts = []
-        for i in range(self.n):
-            d = {}
-            for a, c in self.terms.items():
-                if a[i] > 0:
-                    b = list(a)
-                    b[i] -= 1
-                    d[tuple(b)] = d.get(tuple(b), 0.0) + c * a[i]
-            parts.append(Polynomial(self.n, d))
-        return parts
+        return [Polynomial(self.n, [(a[:i] + (a[i] - 1,) + a[i + 1:], c * a[i])
+                                    for a, c in self.terms.items() if a[i]])
+                for i in range(self.n)]
 
     def compose_linear(self, M):
         """The polynomial p(M x), for an (n, n) matrix M."""
@@ -275,14 +267,17 @@ class Polynomial:
                                 for j in range(self.n) if M[i, j] != 0.0})
             for i in range(self.n)
         ]
-        out = Polynomial.zero(self.n)
+        powers = [[s] for s in subs]  # powers[i][e - 1] is subs[i] ** e, built as needed
+        pairs = []
         for a, c in self.terms.items():
             t = Polynomial.constant(self.n, c)
             for i, e in enumerate(a):
                 if e:
-                    t = t * subs[i] ** e
-            out = out + t
-        return out
+                    while len(powers[i]) < e:
+                        powers[i].append(powers[i][-1] * subs[i])
+                    t = t * powers[i][e - 1]
+            pairs += t.terms.items()
+        return Polynomial(self.n, pairs)
 
     def __str__(self):
         if not self.terms:

@@ -43,6 +43,11 @@ class TestBallConstant:
         with pytest.raises(ValueError):
             ball_constant(2, -0.5)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_exponent_refused(self, lam):
+        with pytest.raises(ValueError, match=r"requires finite lam > -1/2"):
+            ball_constant(1, lam)
+
 
 class TestIntervalMoment:
     def test_odd_is_exact_zero(self):
@@ -67,6 +72,11 @@ class TestIntervalMoment:
             interval_moment(-1, 0.5)
         with pytest.raises(ValueError):
             interval_moment(2, -0.5)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_exponent_refused(self, nu):
+        with pytest.raises(ValueError, match=r"requires finite nu > -1/2"):
+            interval_moment(2, nu)
 
 
 class TestCrossSectionIdentity:

@@ -22,6 +22,16 @@ class TestJacobiParams:
         with pytest.raises(ValueError):
             JacobiParams(0.0, -1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_refused(self, bad):
+        for a, b in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match=r"require finite a > -1 and b > -1"):
+                JacobiParams(a, b)
+        with pytest.raises(ValueError, match=r"requires finite lam > -1/2"):
+            JacobiParams.gegenbauer(bad)
+        with pytest.raises(ValueError, match=r"requires finite lam > -1/2"):
+            gauss_rule(bad, 3)
+
     def test_gegenbauer_mapping(self):
         p = JacobiParams.gegenbauer(1.0)
         assert p.a == p.b == 0.5

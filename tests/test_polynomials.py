@@ -327,3 +327,31 @@ class TestComposeLinear:
             x = rng.uniform(-1, 1, size=2)
             assert_allclose(q.evaluate(x), p.evaluate(M @ x),
                             rtol=1e-12, atol=1e-12)
+
+    def test_terms_summed_once_and_each_power_built_once(self, monkeypatch):
+        # summing term by term rebuilt the whole result per term, and
+        # subs[i] ** e rebuilt each power per term: both quadratic
+        expos = [e for e in itertools.product(range(9), repeat=4) if sum(e) <= 8]
+        p = Polynomial(4, {e: (-1) ** i * (i % 7 + 1) for i, e in enumerate(expos)})
+        M = np.array([[1, 2, 0, -1], [0, 1, 1, 0], [-1, 0, 1, 2], [1, 1, 0, 1]])
+
+        def refuse(*args):
+            raise AssertionError("compose_linear adds or raises to a power")
+
+        mul, products = Polynomial.__mul__, []
+
+        def counted(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        for name in ("__add__", "__radd__", "__pow__"):
+            monkeypatch.setattr(Polynomial, name, refuse)
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        q = p.compose_linear(M)
+        monkeypatch.undo()
+        # one product per factor of a term, and one per power beyond the first
+        assert len(expos) == 495
+        assert len(products) <= sum(map(bool, itertools.chain(*expos))) + 4 * 7
+        rng = np.random.default_rng(43)
+        X = rng.uniform(-1, 1, size=(20, 4))
+        assert_allclose(q.eval_many(X), p.eval_many(X @ M.T), rtol=1e-12)

@@ -1,9 +1,9 @@
 """Sphere sampling: scipy.stats loads on the first sample and on no solve path,
-and the points are fixed.
+and the points are fixed; mpmath loads on the first dps solve and on no float path.
 
-The import checks need an interpreter that has not loaded scipy.stats yet,
-so they run in a child process started from the directory that holds the
-imported package.
+The import checks need an interpreter that has not loaded scipy.stats or
+mpmath yet, so they run in a child process started from the directory that
+holds the imported package.
 """
 
 import json
@@ -58,7 +58,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = spherebound.cli.main(["rational", "--p", "x1", "--q", "2 + x1", "--n", "3",
                                  "--r", "2"])
 print(json.dumps({"code": code,
-                  "loaded": [m for m in ("scipy.stats", "scipy.special") if m in sys.modules]}))
+                  "loaded": [m for m in ("scipy.stats", "scipy.special", "mpmath")
+                             if m in sys.modules]}))
 """
 
 
@@ -68,3 +69,33 @@ def test_rational_bound_and_command_leave_scipy_stats_unloaded():
                           cwd=Path(spherebound.__file__).resolve().parents[1])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"code": 0, "loaded": []}
+
+
+_MPMATH_CHILD = r"""
+import json, sys
+import spherebound, spherebound.cli
+from spherebound import parse_poly
+
+out = {"import": "mpmath" in sys.modules}
+x3 = parse_poly("x3", 3)
+res = spherebound.upper_bound(x3, 3, 4)
+out["upper_bound"] = "mpmath" in sys.modules
+spherebound.sweep(parse_poly("x1^4 + x2^4 + x3^4", 3), 3, 1, 3, certificates=True)
+out["sweep"] = "mpmath" in sys.modules
+spherebound.rational_upper_bound(parse_poly("x1", 2), parse_poly("2 + x1", 2), 2, 3)
+out["rational_upper_bound"] = "mpmath" in sys.modules
+spherebound.density_grid(spherebound.extract_density(res), 3, 10)
+out["density_grid"] = "mpmath" in sys.modules
+spherebound.upper_bound(x3, 3, 2, dps=20)
+out["dps"] = "mpmath" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_float_work_leaves_mpmath_unloaded_and_dps_loads_it():
+    proc = subprocess.run([sys.executable, "-c", _MPMATH_CHILD], capture_output=True, text=True,
+                          timeout=120, cwd=Path(spherebound.__file__).resolve().parents[1])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": False, "upper_bound": False, "sweep": False,
+                                       "rational_upper_bound": False, "density_grid": False,
+                                       "dps": True}
