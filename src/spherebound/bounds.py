@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -75,9 +76,10 @@ class BoundResult:
     coordinate permutation fixing the objective maps the winning block onto
     another: the eigenvalue is then multiple in exact arithmetic.
     condition_number is a LAPACK dpocon estimate of the 1-norm condition of
-    the float64 constraint matrix, taken from its Cholesky factor, even when
-    dps is set (inf when that factorization fails), so a condition_warning
-    on a dps result means that float64 alone would not have been enough.
+    the float64 constraint matrix, taken from its Cholesky factor (the one
+    eigh(A, B) leaves in place on the float path, dpotrf's with dps set; inf
+    when that factorization fails), so a condition_warning on a dps result
+    means that float64 alone would not have been enough.
     """
 
     n: int
@@ -194,7 +196,7 @@ def _solve_block(r, a, b=None, **kwargs):
     try:
         w, V = scipy.linalg.eigh(a, b, subset_by_index=[0, hi], **kwargs)
     except scipy.linalg.LinAlgError as exc:
-        # b has already factored, so this is the eigensolver not converging
+        # _float_levels reports a b that does not factor as a Cholesky failure
         raise ConditioningError(
             f"generalized eigensolve failed at level r={r}: {exc}; retry with dps set"
         ) from exc
@@ -316,21 +318,46 @@ def _kept(ks, w_top, floor):
             if ks[i] and w_top <= floor[i] + GAP_TOL]
 
 
-def _float_levels(levels, ks, floor, A, B, L):
+def _cholesky(B, r, raises):
+    """dpotrf's lower Cholesky factor of the symmetric matrix in B's lower triangle, and its
+    info; with raises, a B that does not factor raises _CholeskyError for level r, naming the
+    leading minor that failed."""
+    L, info = dpotrf(B, lower=1)
+    if info and raises:
+        raise _CholeskyError(
+            f"B not numerically positive definite at level r={r}: Cholesky of a "
+            f"{len(B)}x{len(B)} block failed at leading minor {info}; retry with dps set")
+    return L, info
+
+
+def _float_levels(levels, ks, floor, A, B):
     """Float64 solves of one block: (level index, (w0, w1, v)) in the order done, and
     (index of level r_hi - 1, None) after the dsygst.
 
-    A and B are the block at the top level, ks its size per level, L the Cholesky factor
-    of B.  eigh(A, B) solves the top level as if alone, overwriting A and B, which are then
-    freed.  One dsygst makes M = L^-1 A L^-T up to the largest level _kept leaves; each of
-    those levels is eigh of M[:k, :k], with v = L[:k, :k]^-T q solved with all of L and q
-    padded by zeros.
+    A and B are the block at the top level, ks its size per level.  eigh(A, B) solves the top
+    level as if alone, overwriting A, which is then freed.  Its dsygvx leaves the Cholesky
+    factor L of B in the lower triangle of B.T, the same bits as dpotrf(B.T, lower=1)'s, so
+    after the first yield B.T is L, and the caller reads its dpocon estimates there.  If B does
+    not factor, _cholesky of the restored B raises _CholeskyError, naming the leading minor
+    that failed.  One dsygst makes M = L^-1 A L^-T up to the largest level _kept leaves;
+    each of those levels is eigh of M[:k, :k], with v = L[:k, :k]^-T q solved with all of L
+    and q padded by zeros.
     """
     # copied: the top level's solve overwrites A and B (their transposes are
     # LAPACK's F-order arrays)
     M = A[:ks[-2], :ks[-2]].copy(order="F") if len(ks) > 1 else None
-    top = _solve_block(levels[-1], A.T, B.T, overwrite_a=True, overwrite_b=True)
-    del A, B
+    diag = B.diagonal().copy()
+    try:
+        top = _solve_block(levels[-1], A.T, B.T, overwrite_a=True, overwrite_b=True)
+    except ConditioningError:
+        # dsygvx factors B.T's lower triangle in place and leaves its strict upper
+        # triangle, B's strict lower one, as it was: with its diagonal back, the
+        # symmetric B holds in its lower triangle what dpotrf(B.T) would have read
+        np.fill_diagonal(B, diag)
+        _cholesky(B, levels[-1], raises=True)
+        raise
+    del A
+    L = B.T
     yield len(ks) - 1, top
     kept = _kept(ks, top[0], floor)
     if kept:  # up to the largest level still to solve
@@ -339,7 +366,7 @@ def _float_levels(levels, ks, floor, A, B, L):
         yield len(ks) - 2, None
     for i, k in kept:
         w0, w1, q = _solve_block(levels[i], M[:k, :k])
-        # the top level's eigh(A, B) has checked B, so L is finite
+        # the top level's eigh(A, B) has checked and factored B, so L is finite
         padded = np.zeros(len(L))
         padded[:k] = q
         v = scipy.linalg.solve_triangular(L, padded, trans="T", lower=True, check_finite=False)
@@ -359,17 +386,20 @@ def _hp_levels(ks, floor, Afrac, Bfrac, dps):
 def _solve_pencil(p, q, r_lo, r_hi, dps):
     """(BoundResult, seconds) per level r_lo..r_hi of (A_p, A_q) over sphere_basis(p.n, r_hi).
 
-    Coefficients are A_q-normalized.  Blocks are factored in order, by a
-    float Cholesky of A_q; without dps the first block that does not factor
-    raises ConditioningError for level r_hi, after the blocks before it are
-    solved.  condition_number is max ||B_i|| * max ||B_i^-1|| over a level's
-    blocks, from dpocon, inf if a block did not factor.  Constants a over b
-    take no solve: a/b rounded up, with the A_q-normalized e_1 / sqrt(b).
-    Otherwise _float_levels (dps None) or _hp_levels solves the first block of
-    each key, and its records are written once more, without a vector, for
-    each other block of that key; those copies never win.  Times run from the
-    call: the top level carries the basis and the shared work, level r_hi - 1
-    the dsygst, and each level its own norm, dpocon and solves.
+    Coefficients are A_q-normalized.  Blocks are factored in order, by one
+    float Cholesky of A_q each: the top level's eigh(A_p, A_q) leaves it in
+    place, and dpotrf computes it where no float eigh runs (dps set, or a
+    constant over a constant).  Without dps the first block that does not
+    factor raises ConditioningError for level r_hi, after the blocks before it
+    are solved.  condition_number is max ||B_i|| * max ||B_i^-1|| over a
+    level's blocks, from dpocon on the leading block of that factor, inf if a
+    block did not factor.  Constants a over b take no solve: a/b rounded up,
+    with the A_q-normalized e_1 / sqrt(b).  Otherwise _float_levels (dps None)
+    or _hp_levels solves the first block of each key, and its records are
+    written once more, without a vector, for each other block of that key;
+    those copies never win.  Times run from the call: the top level carries
+    the basis and the shared work (with the factorization), level r_hi - 1 the
+    dsygst, and each level its own norm, dpocon and solves.
     """
     marks = [time.perf_counter()]
     n = p.n
@@ -403,31 +433,29 @@ def _solve_pencil(p, q, r_lo, r_hi, dps):
         Ec = E[comp]
         A = moment_matrix(Ec, Ec, n, p.terms) if dps is None and not constant else None
         B = moment_matrix(Ec, Ec, n, q.terms)
-        # top level first, so its lap takes the assembly; the norms'
-        # temporaries come before L exists
+        # top level first, so its lap takes the assembly; the norms come
+        # before the factorization, which overwrites half of B
         for i, k in reversed(list(enumerate(ks))):
             if k:
                 bnorms[i].append(float(np.linalg.norm(B[:k, :k], 1)))
             lap(i)
-        L, info = dpotrf(B.T, lower=1)
-        if info and dps is None:
-            raise _CholeskyError(
-                f"B not numerically positive definite at level r={r_hi}: Cholesky of a "
-                f"{len(comp)}x{len(comp)} block failed at leading minor {info}; retry with dps set")
+        if A is None:  # no float eigh(A, B) factors B: dpotrf does
+            L, info = _cholesky(B.T, r_hi, raises=dps is None)
+            steps = () if constant else _hp_levels(
+                ks, floor, *(gram_matrix_fraction([basis.elements[i] for i in comp], n, t)
+                             for t in (p.terms, q.terms)), dps)
+        else:  # the top level's eigh(A, B) leaves B's factor in B.T's lower triangle
+            steps = _float_levels(levels, ks, floor, A, B)
+            A = None  # so that _float_levels holds the only reference, and frees A early
+            steps = itertools.chain([next(steps)], steps)
+            lap(len(ks) - 1)
+            L, info = B.T, 0
         for i, k in reversed(list(enumerate(ks))):
             if k:  # a leading factor is complete below the minor that failed
                 rconds[i].append(dpocon(L[:k, :k], bnorms[i][-1], uplo="L")[0]
                                  if info == 0 or k < info else 0.0)
             lap(i)
-        if constant:
-            steps = ()
-        elif dps is None:
-            steps = _float_levels(levels, ks, floor, A, B, L)
-        else:
-            elems_c = [basis.elements[i] for i in comp]
-            steps = _hp_levels(ks, floor, *(gram_matrix_fraction(elems_c, n, t)
-                                             for t in (p.terms, q.terms)), dps)
-        A = B = L = None  # so that _float_levels holds the only references, and frees A, B early
+        B = L = None  # so that _float_levels holds the only reference to the factor
         for i, res in steps:
             if res:
                 results[i] += [(*res, comp[:ks[i]])] + [(*res[:2], None, None)] * copies
@@ -473,8 +501,9 @@ def level_bounds(f, n, r_lo, r_hi, dps=None):
     level-r_hi blocks (see _solve_pencil): exact at r_hi, with dps but for condition_number,
     else up to rounding.  Below r_hi a block is solved only where interlacing leaves it able to
     win.  The seconds are the solver's, whose clock starts after these argument checks: level
-    r_hi's carry the basis, the shared assembly, factorization and (with dps) reduction, level
-    r_hi - 1's the dsygst, and each level's its own norm, dpocon estimate and solves."""
+    r_hi's carry the basis, the shared assembly and its eigh(A, B), which factors B (with dps,
+    dpotrf and the reduction), level r_hi - 1's the dsygst, and each level's its own norm,
+    dpocon estimate and solves, the last two from the leading block of B's one factor."""
     n, r_lo = _check_args(n, r_lo, [f], dps)
     _, r_hi = check_level(n, r_hi)
     if r_lo > r_hi:

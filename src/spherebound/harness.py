@@ -49,10 +49,12 @@ def sweep(f, n, r_lo, r_hi, certificates=True, dps=None):
     """Upper bounds (and cubature certificates) for each level in r_lo..r_hi.
 
     The bounds come from level_bounds: level r_hi's runtime_ms carries the
-    shared assembly, factorization and (with dps) reduction, level r_hi - 1's
-    the dsygst, and each level's its own norm and dpocon estimate of B, its
-    own solves (of the blocks that can still win it) and its own certificate,
-    skipped when its rule would exceed cubature_lower_bound's budget.
+    shared assembly and its eigensolve, which factors B once per block (with
+    dps, dpotrf factors B and the extended-precision reduction follows),
+    level r_hi - 1's the dsygst, and each level's its own norm and dpocon
+    estimate of B from the leading block of that one factor, its own solves
+    (of the blocks that can still win it) and its own certificate, skipped
+    when its rule would exceed cubature_lower_bound's budget.
     """
     records = []
     for res, seconds in level_bounds(f, n, r_lo, r_hi, dps=dps):

@@ -152,7 +152,9 @@ class TestUpperBound:
         assert res.condition_number == math.inf and res.condition_warning
 
     def test_one_factorization_and_one_pencil_call_per_block(self, monkeypatch):
-        # B is factored once for the condition estimate; no spectrum of B alone
+        # B is factored once per distinct block: in float64 by eigh(A, B),
+        # whose factor also gives the condition estimate, and with dps, which
+        # runs no float eigh, by dpotrf; no spectrum of B alone
         calls = {"dpotrf": 0, "pencil": 0, "single": 0}
         dpotrf, eigh = bounds.dpotrf, scipy.linalg.eigh
 
@@ -174,7 +176,10 @@ class TestUpperBound:
         # x1 <-> x2 maps the blocks of parities (1, 0, *) and (0, 1, *) onto each other
         blocks = len(set(keys))
         assert 1 < blocks < len(comps)
-        assert calls == {"dpotrf": blocks, "pencil": blocks, "single": 0}
+        assert calls == {"dpotrf": 0, "pencil": blocks, "single": 0}
+        calls.update(dpotrf=0, pencil=0)
+        upper_bound(f, 3, 6, dps=30)
+        assert calls == {"dpotrf": blocks, "pencil": 0, "single": 0}
 
     def test_eigensolve_failure_passes_on_scipy_message(self, monkeypatch):
         def failing(a, b=None, *args, **kwargs):
@@ -216,6 +221,73 @@ class TestUpperBound:
         assert len(payload["coeffs"]) == len(res.basis)
         assert payload["condition_number"] == res.condition_number
         assert payload["degenerate"] is res.degenerate
+
+
+def _distinct_blocks(p, q, n, r):
+    """The assembled (A_p, A_q) of the first block of each symmetry orbit at level r, in the
+    solver's order."""
+    E = sphere_basis(n, r).exponent_array()
+    comps, keys = bounds._parity_components(E, list(p.terms) + list(q.terms),
+                                            bounds._symmetry_classes(n, [p.terms, q.terms]))
+    firsts = [comp for i, (comp, key) in enumerate(zip(comps, keys)) if key not in keys[:i]]
+    return [(moment_matrix(E[c], E[c], n, p.terms), moment_matrix(E[c], E[c], n, q.terms))
+            for c in firsts]
+
+
+class TestFactorFromEigh:
+    """The float path takes B's Cholesky factor from the top level's
+    eigh(A, B), which factors B in place, and runs dpotrf only to name the
+    leading minor of a B that does not factor."""
+
+    @pytest.mark.parametrize("p, q, n, r, blocks", [
+        (Polynomial.variable(5, 5), Polynomial.constant(5, 1.0), 5, 6, 5),  # sweep_x5's blocks
+        (parse_poly("x1*x2 - x3^2", 3), parse_poly("3 + x1^2 + x2", 3), 3, 6, 2)])
+    def test_eigh_leaves_dpotrf_factor_in_b(self, p, q, n, r, blocks):
+        # the solver feeds dpocon, dsygst and the back-solves from B.T's
+        # lower triangle: a scipy that solved on a copy of b would leave
+        # the raw B there, and fail this
+        got = _distinct_blocks(p, q, n, r)
+        assert len(got) == blocks
+        for A, B in got:
+            assert np.array_equal(B, B.T) and B.T.flags.f_contiguous
+            L = scipy.linalg.lapack.dpotrf(B.T, lower=1)[0]
+            upper = np.triu(B.T, 1)
+            bounds._solve_block(r, A.T, B.T, overwrite_a=True, overwrite_b=True)
+            assert np.tril(B.T).tobytes() == np.tril(L).tobytes()
+            assert np.triu(B.T, 1).tobytes() == upper.tobytes()
+
+    def test_failure_names_dpotrf_minor_of_assembled_block(self, monkeypatch):
+        x3 = Polynomial.variable(3, 3)
+        for _, B in _distinct_blocks(x3, Polynomial.constant(3, 1.0), 3, 21):
+            info = scipy.linalg.lapack.dpotrf(B.T, lower=1)[1]
+            if info:
+                break
+        assert len(B) == 121 and info > 0
+        seen, dpotrf = [], bounds.dpotrf
+
+        def recording_dpotrf(a, **kwargs):
+            seen.append(a.copy())
+            return dpotrf(a, **kwargs)
+
+        monkeypatch.setattr(bounds, "dpotrf", recording_dpotrf)
+        with pytest.raises(ConditioningError, match=re.escape(
+                f"level r=21: Cholesky of a 121x121 block failed at leading minor {info}; "
+                "retry with dps set")):
+            upper_bound(x3, 3, 21)
+        # one dpotrf, on the block eigh(A, B) failed on, rebuilt as assembled
+        assert len(seen) == 1 and np.tril(seen[0]).tobytes() == np.tril(B).tobytes()
+
+    def test_denominator_that_does_not_factor_is_not_certified(self, monkeypatch):
+        # q = x1 passes a sample where x1 > 0; the float path tries eigh(A_p, A_q)
+        # first, and dpotrf of the restored A_q names the minor
+        monkeypatch.setattr(bounds, "_positivity_sample", lambda n: np.tile([1.0, 0.0], (16, 1)))
+        with mock.patch.object(bounds, "dpotrf", wraps=bounds.dpotrf) as dpotrf, \
+                mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh) as eigh:
+            with pytest.raises(CertificationError,
+                               match=r"q not certified positive at level r=2: .* failed at "
+                                     r"leading minor \d+; retry with dps set"):
+                rational_upper_bound(parse_poly("x1", 2), parse_poly("x1", 2), 2, 2)
+        assert (dpotrf.call_count, eigh.call_count) == (1, 1)
 
 
 class TestCircleClosedForm:
@@ -1090,7 +1162,7 @@ class TestLevelBounds:
             assert (res.condition_warning, res.degenerate) == \
                 (ref.condition_warning, ref.degenerate)
             # the float64 condition estimate comes from the leading block of
-            # the r_hi block's dpotrf factor, which LAPACK's recursive
+            # the r_hi block's Cholesky factor, which LAPACK's recursive
             # Cholesky rounds apart from a factor of the leading block alone
             if res.r == hi:
                 assert res.condition_number == ref.condition_number
