@@ -10,14 +10,12 @@ the same matrices exactly, in Fractions, for the extended-precision solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .moments import MomentOracle
+from .moments import MomentOracle, _moment_tables
 from .polynomials import _check_exponent_array, as_index, check_dimension
 
 # moment_matrix assembles about ASSEMBLY_ROWS * m2 entries at a time, to
@@ -67,17 +65,6 @@ def sphere_basis(n, r):
     return BasisSpec(n=n, r=r, elements=elems)
 
 
-@lru_cache(maxsize=32)
-def _lgamma_tables(n, maxdeg):
-    # lg_half[d] = lgamma((d+1)/2), lg_sum[d] = lgamma((d+n)/2)
-    d = np.arange(maxdeg + 1)
-    lg_half = np.array([math.lgamma(0.5 * (k + 1)) for k in d])
-    lg_sum = np.array([math.lgamma(0.5 * (k + n)) for k in d])
-    # n*lgamma(1/2) = (n/2) log pi, written so the zero index cancels exactly
-    c0 = math.lgamma(0.5 * n) - n * math.lgamma(0.5)
-    return lg_half, lg_sum, c0
-
-
 def _parity_classes(P):
     """Index of each row's parity vector among the distinct ones."""
     cls = np.zeros(len(P), dtype=np.int64)
@@ -98,33 +85,31 @@ def moment_matrix(E1, E2, n, terms=None):
     n, E1, E2 and the keys of terms are checked first: a float, negative or
     wrongly sized exponent raises ValueError.
     M_g[i, j] is the normalized moment of x^P, P = E1[i] + E2[j] + g: zero
-    if any P_k is odd, else
-    exp(c0 + sum_k lgamma((P_k + 1)/2) - lgamma((|P| + n)/2)).  The set-up
-    (lgamma tables, codes and parity classes of the rows) is shared by all
-    terms, and rows are assembled in chunks of about ASSEMBLY_ROWS * m2
-    entries to bound memory.
+    if any P_k is odd, else prod_k odd2[P_k] / rise2[|P|], moment_fraction's
+    formula on the scaled tables of moments._moment_tables.  The set-up is
+    shared by all terms, and rows are assembled in chunks of about
+    ASSEMBLY_ROWS * m2 entries to bound memory.
 
     Where P is even, P_k / 2 = ceil(a_k / 2) + floor(c_k / 2) for a = E1[i]
     and c = E2[j] + g, so a mixed-radix code of these half-exponents is
     additive: code(i, j) = cu[i] + cv[j].  A moment table covers the box of
     half-exponents of the longest prefix of coordinates whose box has at
-    most m1 * m2 cells, and holds the partial log-sums over that prefix,
-    accumulated k = 1 first.  When the prefix covers all n coordinates,
-    c0, lgamma((|P| + n)/2) and exp are folded in as well, so an entry of
-    c_g M_g is one gather from the table times c_g.  Otherwise the
-    remaining coordinates are gathered and added one by one, all n of them
-    when not even the first fits.  Odd entries need no mask: rows and
-    columns fall into parity classes, and each class shifts the codes so
-    that a row and a column of different classes meet outside the table,
-    where a clipped gather reads a padding cell that makes the entry zero.
+    most m1 * m2 cells, and holds the partial products over that prefix,
+    multiplied k = 1 first.  When the prefix covers all n coordinates, the
+    division by rise2[|P|] is folded in as well, so an entry of c_g M_g is
+    one gather from the table times c_g.  Otherwise the remaining
+    coordinates are gathered and multiplied in one by one, all n of them
+    when not even the first fits, and the product is divided once.  Odd
+    entries need no mask: rows and columns fall into parity classes, and
+    each class shifts the codes so that a row and a column of different
+    classes meet outside the table, on a 0.0 padding cell of a clipped
+    gather, which zeroes the product.
 
-    Every entry thus goes through the same floating-point operations in the
-    same order as a coordinate-by-coordinate sum followed by the sum over
-    terms.  That is the order in which numpy's add-reduce sums a
-    contiguous axis shorter than 8, so for n <= 7 every M_g entry is
-    bit-identical to the reduction
-    c0 + lgamma_half[P].sum(axis=-1) - lgamma_sum[|P|]; for n >= 8 numpy
-    sums in 8-way blocks and the two may differ in the last bit.
+    Every entry thus takes the same floating-point operations in the same
+    order as ((odd2[P_1] * odd2[P_2]) * ...) * odd2[P_n] / rise2[|P|] and
+    the sum of the terms c_g M_g onto zeros, and is bit-identical to that
+    reduction: a few ulps from the exact moment, as each table entry is
+    rounded once and small (2h - 1)!! multiply exactly.
     """
     n = as_index(n, "dimension", 1)
     E1, E2 = _check_exponent_array(n, E1), _check_exponent_array(n, E2)
@@ -147,31 +132,26 @@ def moment_matrix(E1, E2, n, terms=None):
         box *= radix[prefix]
         prefix += 1
     full = prefix == n
-    # every index into them is below 2 * sum(radix); a power of two keeps
-    # the number of cached table sizes small
-    lg_half, lg_sum, c0 = _lgamma_tables(n, 1 << (2 * sum(radix)).bit_length())
-    # partial sums over the prefix from an empty sum of 0.0 (exact: no
-    # lg_half entry is -0.0); each coordinate is a slower digit of the
-    # code than the ones before it
-    table = np.zeros(1)
+    # every half-exponent sum is at most sum(radix) - n; a power of two
+    # keeps the number of cached table sizes small
+    odd2, rise2 = _moment_tables(n, 1 << sum(radix).bit_length())[2:]
+    # partial products over the prefix from an empty product of 1.0; each
+    # coordinate is a slower digit of the code than the ones before it
+    table = np.ones(1)
     half_sum = np.zeros(1, dtype=np.int64)
     cu = np.zeros(m1, dtype=np.int64)
     cv = np.zeros(C.shape[:2], dtype=np.int64)
     for k in range(prefix):
         cu += U[:, k] * len(table)
         cv += V[:, :, k] * len(table)
-        table = np.add.outer(lg_half[0:2 * radix[k]:2], table).ravel()
+        table = np.multiply.outer(odd2[0:2 * radix[k]:2], table).ravel()
         if full:
             half_sum = np.add.outer(np.arange(radix[k]), half_sum).ravel()
     if full:
-        table += c0
-        table -= lg_sum[0::2][half_sum]
-        np.exp(table, out=table)
+        table /= rise2[0::2][half_sum]
     # classes lie box + 1 apart, so a code that pairs two classes is below
-    # 0 or above box + 1 and is clipped onto a padding cell: 0.0, or -inf
-    # where exp is still to come
-    pad = 0.0 if full else -np.inf
-    table = np.concatenate([[pad], table, [pad]])
+    # 0 or above box + 1 and is clipped onto a 0.0 padding cell
+    table = np.concatenate([[0.0], table, [0.0]])
     cls = _parity_classes(np.concatenate([E1, C.reshape(-1, n)])) * (box + 1)
     cu += 1 + cls[:m1]
     cv -= cls[m1:].reshape(cv.shape)
@@ -196,10 +176,9 @@ def moment_matrix(E1, E2, n, terms=None):
         hi = min(lo + rows, m1)
         acc = np.take(table, cu[lo:hi, None] + cv[:, None, :], mode="clip")
         for k in range(prefix, n):
-            acc += lg_half[E1[lo:hi, k][:, None] + C[:, None, :, k]]
-        acc += c0
-        acc -= lg_sum[E1[lo:hi].sum(axis=1)[:, None] + d2]
-        np.exp(acc, out=acc)
+            acc *= odd2[E1[lo:hi, k][:, None] + C[:, None, :, k]]
+        # an odd |P| may pass the table's end; its entry is already 0.0
+        acc /= np.take(rise2, E1[lo:hi].sum(axis=1)[:, None] + d2, mode="clip")
         acc *= coeffs[:, None, None]
         block = out[lo:hi]
         for term in acc:

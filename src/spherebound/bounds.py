@@ -231,10 +231,10 @@ def _smallest_hp(L, M, k, dps):
     so inverse iteration with that factor (two triangular solves per step,
     from q0) can only converge to the smallest eigenpair; the float ordering
     is never trusted.  The value is the Rayleigh quotient, which never falls
-    below the smallest eigenvalue; iteration stops once it changes by at
-    most 16 eps scale, and raises ConditioningError after HP_MAX_STEPS
-    steps.  Returns (value, float64 w1 or None, v) with v = L^-T q, so
-    v^T B v = 1.
+    below the smallest eigenvalue, rounded up to the least float not below
+    it; iteration stops once it changes by at most 16 eps scale, and raises
+    ConditioningError after HP_MAX_STEPS steps.  Returns (value, float64 w1
+    or None, v) with v = L^-T q, so v^T B v = 1.
     """
     import mpmath as mp
 
@@ -275,7 +275,10 @@ def _smallest_hp(L, M, k, dps):
         # which is exact wherever M's structure is (a zero or diagonal M)
         value = mp.fdot(q, [mp.fdot(row, q) for row in M])
         vec = np.array([float(x) for x in _tri_solve(L, q, trans=True)])
-    return float(value), (float(w[1]) if k > 1 else None), vec
+    up = float(value)
+    if up < value:
+        up = math.nextafter(up, math.inf)
+    return up, (float(w[1]) if k > 1 else None), vec
 
 
 def _tri_solve(L, b, trans=False):

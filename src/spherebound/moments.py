@@ -1,18 +1,21 @@
 """Closed-form moments of the uniform measure on the unit sphere.
 
 All sphere moments are taken against the normalized (probability) surface
-measure.  MomentOracle holds the one monomial moment formula, in exact
-rationals: moment_fraction backs the extended-precision pencil solves, and
-moment is its value correctly rounded to float.  The surface area, the
-ball constant and the interval moments are Gamma ratios evaluated in log
-space, so degrees up to ~30 and dimensions up to ~10 stay well inside
-double range.
+measure.  The one monomial moment formula (G. B. Folland, Amer. Math. Monthly
+108 (2001) 446-448) is prod_k (a_k - 1)!! / prod_{j<|a|/2} (n + 2j), zero if
+any a_k is odd; its integer tables (_moment_tables) back moment_fraction
+exactly and basis.moment_matrix in float64.  The surface area, the ball
+constant and the interval moments are Gamma ratios evaluated in log space,
+so degrees up to ~30 and dimensions up to ~10 stay well inside double range.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .polynomials import _check_exponents, as_index, check_dimension
 
@@ -52,6 +55,25 @@ def interval_moment(k, nu):
                     - math.lgamma(0.5 * k + nu + 1.0) - math.lgamma(0.5))
 
 
+@lru_cache(maxsize=32)
+def _moment_tables(n, top):
+    """(odd, rise, odd2, rise2): odd[h] = (2h - 1)!! and rise[h] = prod_{j<h} (n + 2j)
+    for h < top as ints, and for h < top - n in float64 over top^h, rounded
+    once, at the indices 2h and 2h + 1 of a full exponent.  The scales cancel
+    in prod_k odd2[P_k] / rise2[|P|], and no scaled entry exceeds 1 (factors
+    j and top - n - 1 - j of rise multiply to below top^2), where the ints
+    pass float range.  Read-only, as the cache hands them to every caller."""
+    odd, rise = [1], [1]
+    for h in range(1, top):
+        odd.append(odd[-1] * (2 * h - 1))
+        rise.append(rise[-1] * (n + 2 * h - 2))
+    scaled = [np.repeat([v / top ** h for h, v in enumerate(t[:max(top - n, 0)])], 2)
+              for t in (odd, rise)]
+    for t in scaled:
+        t.flags.writeable = False
+    return (tuple(odd), tuple(rise), *scaled)
+
+
 class MomentOracle:
     """Monomial moments of the normalized surface measure on S^{n-1}."""
 
@@ -70,14 +92,9 @@ class MomentOracle:
         alpha = _check_exponents(self.n, alpha)
         if any(e % 2 for e in alpha):
             return Fraction(0)
-        num = 1
-        for e in alpha:
-            for j in range(e - 1, 0, -2):
-                num *= j
-        den = 1
-        for k in range(1, sum(alpha) // 2 + 1):
-            den *= self.n + 2 * k - 2
-        return Fraction(num, den)
+        s = sum(alpha) // 2
+        odd, rise = _moment_tables(self.n, 1 << s.bit_length())[:2]
+        return Fraction(math.prod(odd[e // 2] for e in alpha), rise[s])
 
     def integrate(self, p):
         """Normalized integral of a polynomial over the sphere."""

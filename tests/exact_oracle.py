@@ -26,15 +26,15 @@ def pencil_blocks(p, q, r):
     return blocks
 
 
-def count_below(A, B, c):
-    """Eigenvalues of the pencil (A, B) below the rational c: the negative pivots of
-    an unpivoted LDL^T of A - cB.  A zero pivot leaves the count undecided, and fails."""
+def _negative_pivots(A, B, c):
+    """The negative pivots of an unpivoted LDL^T of A - cB, or None at a zero pivot."""
     m = len(A)
     S = [[A[i][j] - c * B[i][j] for j in range(m)] for i in range(m)]
     negative = 0
     for k in range(m):
         d = S[k][k]
-        assert d != 0, f"zero pivot at {k} of {m}: inertia at c = {c} undecided"
+        if d == 0:
+            return None
         negative += d < 0
         for i in range(k + 1, m):  # the upper triangle of the Schur complement
             f = S[k][i] / d
@@ -43,6 +43,23 @@ def count_below(A, B, c):
                 for j in range(i, m):
                     row[j] -= f * pivot_row[j]
     return negative
+
+
+def count_below(A, B, c):
+    """Eigenvalues of the pencil (A, B) below the rational c: the negative pivots of
+    an unpivoted LDL^T of A - cB.  A zero pivot leaves the count undecided, and fails."""
+    negative = _negative_pivots(A, B, c)
+    assert negative is not None, f"zero pivot of {len(A)}: inertia at c = {c} undecided"
+    return negative
+
+
+def assert_not_below(blocks, value):
+    """Prove that value is at least the pencil's least eigenvalue: some block has an
+    eigenvalue below it, or A - value B has a zero pivot, so value is an eigenvalue
+    of a leading sub-pencil, which by interlacing is at least the block's least."""
+    v = Fraction(value)
+    assert any(_negative_pivots(A, B, v) != 0 for A, B in blocks), \
+        f"{value!r} lies below the level-r value"
 
 
 def assert_brackets(blocks, value, rel=1e-12):

@@ -13,10 +13,12 @@ from numpy.testing import assert_allclose
 
 from conftest import random_poly, random_sphere
 from spherebound import (MomentOracle, Polynomial, build_pencil, motzkin_form,
-                         parse_poly, sphere_basis, sphere_points)
+                         parse_poly, sphere_basis, sphere_points, upper_bound)
 from spherebound import basis as basis_module
-from spherebound.basis import _lgamma_tables, gram_matrix_fraction, moment_matrix
+from spherebound import bounds
+from spherebound.basis import gram_matrix_fraction, moment_matrix
 from spherebound.bounds import _parity_components
+from spherebound.moments import _moment_tables
 
 
 class TestSphereBasis:
@@ -276,24 +278,35 @@ class TestPencil:
                 assert_allclose(M[i, j], o.moment(a), rtol=1e-13, atol=1e-16)
 
 
-def _moment_matrix_reference(E1, E2, n, shift=None, chunk=512):
-    """Reference assembly: the (rows x cols x n) exponent tensor, reduced."""
+def _radix(E1, E2, n, shifts):
+    """moment_matrix's mixed radix: one more than the largest half-exponent
+    sum in each coordinate, over rows E1, columns E2 and every shift."""
+    G = np.array(shifts, dtype=np.int64).reshape(-1, 1, n)
+    return ((E1 + 1) // 2).max(axis=0) + ((E2 + G) // 2).max(axis=(0, 1)) + 1
+
+
+def _moment_matrix_reference(E1, E2, n, shift=None, shifts=None):
+    """Reference assembly: over the (rows x cols x n) exponent tensor, the
+    scaled odd tables multiplied coordinate by coordinate, k = 1 first, over
+    the scaled rise table at |P|, then the parity mask.  The tables are the
+    ones moment_matrix reads for the given shifts (default: shift alone)."""
     E1 = np.asarray(E1, dtype=np.int64)
     E2 = np.asarray(E2, dtype=np.int64)
     g = np.zeros(n, dtype=np.int64) if shift is None else np.asarray(shift, dtype=np.int64)
-    maxdeg = int(E1.sum(axis=1).max(initial=0) + E2.sum(axis=1).max(initial=0) + g.sum())
-    lg_half, lg_sum, c0 = _lgamma_tables(n, maxdeg)
-    m1, m2 = len(E1), len(E2)
-    out = np.empty((m1, m2))
-    base = E2[None, :, :] + g[None, None, :]
-    for lo in range(0, m1, chunk):
-        hi = min(lo + chunk, m1)
-        P = E1[lo:hi, None, :] + base
+    out = np.zeros((len(E1), len(E2)))
+    if not out.size:
+        return out
+    radix = _radix(E1, E2, n, [g] if shifts is None else shifts)
+    odd2, rise2 = _moment_tables(n, 1 << int(radix.sum()).bit_length())[2:]
+    for lo in range(0, len(E1), 128):
+        P = E1[lo:lo + 128, None, :] + (E2 + g)[None, :, :]
         odd = (P & 1).any(axis=2)
-        S = P.sum(axis=2)
-        block = np.exp(c0 + lg_half[P].sum(axis=2) - lg_sum[S])
+        block = odd2[P[:, :, 0]]
+        for k in range(1, n):
+            block = block * odd2[P[:, :, k]]
+        block = block / rise2[np.where(odd, 0, P.sum(axis=2))]
         block[odd] = 0.0
-        out[lo:hi] = block
+        out[lo:lo + 128] = block
     return out
 
 
@@ -329,7 +342,7 @@ class TestMomentMatrixAssembly:
             for shift in (None, tuple(int(v) for v in rng.integers(0, 4, size=n))):
                 E1, E2 = _random_exponents(rng, m1, m2, n, 6, shift)
                 M = moment_matrix(E1, E2, n, terms=_single(shift))
-                ref = _moment_matrix_reference(E1, E2, n, shift=shift, chunk=chunk)
+                ref = _moment_matrix_reference(E1, E2, n, shift=shift)
                 assert M.shape == (m1, m2)
                 assert np.array_equal(M, ref)
                 nonzero += np.count_nonzero(M)
@@ -347,6 +360,55 @@ class TestMomentMatrixAssembly:
             for g in (None, shift):
                 assert np.array_equal(moment_matrix(Ec, Ec, n, terms=_single(g)),
                                       _moment_matrix_reference(Ec, Ec, n, shift=g))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["x5-sweep-r16", "s2-r20", "s1-degree-2000", "x1-n400-r1"])
+    def test_within_two_ulps_of_exact_moments(self, case, monkeypatch):
+        # every entry lies within 2 ulps of the exact moment rounded to float:
+        # each table entry is rounded once and the scales top^h cancel, so
+        # neither the error of a sum of logarithms nor an overflow of (2h - 1)!!
+        # (n = 400 builds tables to h = 1023) reaches the matrix
+        calls = []
+        if case == "x5-sweep-r16":
+            n, shift = 5, (0, 0, 0, 0, 1)
+            basis = sphere_basis(n, 16)
+            E = basis.exponent_array()
+            for comp in _parity_components(basis.elements, [shift])[0]:
+                calls += [(E[comp], E[comp], n, g) for g in (None, shift)]
+        elif case == "s2-r20":
+            E = sphere_basis(3, 20).exponent_array()
+            calls.append((E, E, 3, None))
+        elif case == "s1-degree-2000":
+            E = sphere_basis(2, 1000).exponent_array()
+            calls.append((E[-40:], E, 2, None))
+        else:
+            record = moment_matrix
+
+            def recording(E1, E2, n, terms=None):
+                assert terms is None or len(terms) == 1
+                calls.append((E1, E2, n, None if terms is None else next(iter(terms))))
+                return record(E1, E2, n, terms=terms)
+
+            monkeypatch.setattr(bounds, "moment_matrix", recording)
+            assert upper_bound(Polynomial.variable(400, 1), 400, 1).value < 0
+            assert len(calls) >= 2
+        for E1, E2, n, g in calls:
+            M = moment_matrix(E1, E2, n, terms=_single(g))
+            P = E1[:, None, :] + (E2 if g is None else E2 + np.array(g))[None, :, :]
+            even = ~(P & 1).any(axis=2)
+            assert np.all(M[~even] == 0.0)
+            # one exact moment per distinct P, found by a code over the first
+            # coordinate and those where some P is nonzero
+            Pe = P[even]
+            keep = Pe.any(axis=0)
+            keep[0] = True
+            Q = Pe[:, keep]
+            code = np.ravel_multi_index(Q.T, Q.max(axis=0, initial=0) + 1)
+            _, first, where = np.unique(code, return_index=True, return_inverse=True)
+            o = MomentOracle(n)
+            exact = np.array([float(o.moment_fraction(tuple(Pe[i].tolist()))) for i in first])
+            ref = exact[where.reshape(-1)]
+            assert np.all(np.abs(M[even] - ref) <= 2 * np.spacing(ref))
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_matches_exact_moments_beyond_seven_coordinates(self, n):
@@ -377,43 +439,18 @@ class TestMomentMatrixAssembly:
         assert_allclose(M, ref, rtol=1e-13, atol=0)
 
 
-def _moment_matrix_per_coordinate(E1, E2, n, shift=None, chunk=512):
-    """Reference one-shift assembly: lgamma gathers added coordinate by
-    coordinate, k = 1 first, then the parity mask."""
-    E1 = np.asarray(E1, dtype=np.int64)
-    E2 = np.asarray(E2, dtype=np.int64)
-    g = np.zeros(n, dtype=np.int64) if shift is None else np.asarray(shift, dtype=np.int64)
-    C = E2 + g
-    d1 = E1.sum(axis=1)
-    d2 = C.sum(axis=1)
-    lg_half, lg_sum, c0 = _lgamma_tables(n, int(d1.max(initial=0) + d2.max(initial=0)))
-    m1, m2 = len(E1), len(E2)
-    out = np.empty((m1, m2))
-    for lo in range(0, m1, chunk):
-        hi = min(lo + chunk, m1)
-        acc = lg_half[np.add.outer(E1[lo:hi, 0], C[:, 0])]
-        for i in range(1, n):
-            acc += lg_half[np.add.outer(E1[lo:hi, i], C[:, i])]
-        acc += c0
-        acc -= lg_sum[np.add.outer(d1[lo:hi], d2)]
-        block = np.exp(acc, out=out[lo:hi])
-        block[((E1[lo:hi, None, :] + C[None, :, :]) & 1).any(axis=2)] = 0.0
-    return out
-
-
-def _localized_block_reference(terms, E1, E2, n, chunk=512):
+def _localized_block_reference(terms, E1, E2, n):
     """Reference localized matrix: c_g * M_g added term by term onto zeros."""
     A = np.zeros((len(E1), len(E2)))
     for g, c in terms.items():
-        A += c * _moment_matrix_per_coordinate(E1, E2, n, shift=g, chunk=chunk)
+        A += c * _moment_matrix_reference(E1, E2, n, shift=g, shifts=list(terms))
     return A
 
 
 def _table_prefix(E1, E2, n, terms):
     """Coordinates the moment table covers: the longest prefix whose box of
     half-exponent sums has at most m1 * m2 cells."""
-    G = np.array(list(terms), dtype=np.int64).reshape(-1, 1, n)
-    radix = ((E1 + 1) // 2).max(axis=0) + ((E2 + G) // 2).max(axis=(0, 1)) + 1
+    radix = _radix(E1, E2, n, list(terms))
     k, box = 0, 1
     while k < n and box * radix[k] <= len(E1) * len(E2):
         box *= int(radix[k])
@@ -441,11 +478,11 @@ class TestLocalizedKernel:
                 negative += sum(c < 0 for c in terms.values())
                 E1, E2 = _random_exponents(rng, m1, m2, n, 6, next(iter(terms)))
                 M = moment_matrix(E1, E2, n, terms=terms)
-                assert np.array_equal(M, _localized_block_reference(terms, E1, E2, n, chunk))
+                assert np.array_equal(M, _localized_block_reference(terms, E1, E2, n))
         assert negative > 0
 
     @pytest.mark.parametrize("rows, cols, n, top, prefix", [
-        (30, 30, 3, 4, 3),   # full table: c0, lgamma and exp folded in
+        (30, 30, 3, 4, 3),   # full table: the division by rise folded in
         (3, 4, 4, 8, 1),     # partial prefix: one coordinate in the table
         (1, 1, 3, 6, 0),     # no table: every coordinate gathered
     ])

@@ -117,12 +117,13 @@ class TestUpperBound:
         assert res.degenerate
         c = res.coeffs
         assert c[0] == 1.0 and np.all(c[1:] == 0.0)
-        # constants honour dps: at r = 24 the float Gram matrix is
-        # indefinite, so only the call with dps set succeeds
+        # constants honour dps: the float Gram matrix of S^1 first fails to
+        # factor at r = 26; two levels past it only the call with dps set
+        # succeeds
         for f, value in [(Polynomial.constant(2, 1.0), 1.0), (Polynomial(2, {}), 0.0)]:
             with pytest.raises(ConditioningError):
-                upper_bound(f, 2, 24)
-            res = upper_bound(f, 2, 24, dps=60)
+                upper_bound(f, 2, 28)
+            res = upper_bound(f, 2, 28, dps=60)
             assert res.value == value
             assert res.degenerate
             assert res.coeffs[0] == 1.0 and np.all(res.coeffs[1:] == 0.0)
@@ -146,7 +147,8 @@ class TestUpperBound:
         assert res.condition_number == expected.condition_number
         assert res.condition_warning == expected.condition_warning
         assert res.degenerate and expected.degenerate
-        res = upper_bound(Polynomial.constant(2, 1.0), 2, 24, dps=60)
+        # past the float limit (r = 26 on S^1) B does not factor
+        res = upper_bound(Polynomial.constant(2, 1.0), 2, 28, dps=60)
         assert res.value == 1.0 and res.degenerate
         assert res.coeffs[0] == 1.0 and np.all(res.coeffs[1:] == 0.0)
         assert res.condition_number == math.inf and res.condition_warning
@@ -257,12 +259,14 @@ class TestFactorFromEigh:
             assert np.triu(B.T, 1).tobytes() == upper.tobytes()
 
     def test_failure_names_dpotrf_minor_of_assembled_block(self, monkeypatch):
+        # x3 on S^2 first fails to factor at r = 24 (a 169-row block); at
+        # r = 26 the first block that fails has 196 rows
         x3 = Polynomial.variable(3, 3)
-        for _, B in _distinct_blocks(x3, Polynomial.constant(3, 1.0), 3, 21):
+        for _, B in _distinct_blocks(x3, Polynomial.constant(3, 1.0), 3, 26):
             info = scipy.linalg.lapack.dpotrf(B.T, lower=1)[1]
             if info:
                 break
-        assert len(B) == 121 and info > 0
+        assert len(B) == 196 and info > 0
         seen, dpotrf = [], bounds.dpotrf
 
         def recording_dpotrf(a, **kwargs):
@@ -271,9 +275,9 @@ class TestFactorFromEigh:
 
         monkeypatch.setattr(bounds, "dpotrf", recording_dpotrf)
         with pytest.raises(ConditioningError, match=re.escape(
-                f"level r=21: Cholesky of a 121x121 block failed at leading minor {info}; "
+                f"level r=26: Cholesky of a 196x196 block failed at leading minor {info}; "
                 "retry with dps set")):
-            upper_bound(x3, 3, 21)
+            upper_bound(x3, 3, 26)
         # one dpotrf, on the block eigh(A, B) failed on, rebuilt as assembled
         assert len(seen) == 1 and np.tril(seen[0]).tobytes() == np.tril(B).tobytes()
 
@@ -310,9 +314,11 @@ class TestCircleClosedForm:
         assert upper_bound(f, 2, 20).condition_warning
 
     def test_float_breakdown_levels(self):
-        # float64 Cholesky of the Gram matrix first fails at r = 21 on S^1 and S^2
-        for f, n, fails in [(parse_poly("x1", 2), 2, (21, 22, 23, 24)),
-                            (Polynomial.variable(3, 3), 3, (21, 22, 24))]:
+        # float64 Cholesky of the Gram matrix first fails at r = 27 on S^1 and
+        # r = 24 on S^2; from two levels past that, a block that does not
+        # factor is named with its leading minor
+        for f, n, fails in [(parse_poly("x1", 2), 2, (29, 30, 31)),
+                            (Polynomial.variable(3, 3), 3, (26, 27, 28))]:
             assert math.isfinite(upper_bound(f, n, 20).condition_number)
             for r in fails:
                 with pytest.raises(ConditioningError,
@@ -321,11 +327,13 @@ class TestCircleClosedForm:
                     upper_bound(f, n, r)
 
     def test_gram_breakdown_reported_and_rescued(self):
+        # two levels past r = 27, where the float Gram matrix of S^1 first
+        # fails to factor
         f = parse_poly("x1", 2)
         with pytest.raises(ConditioningError):
-            upper_bound(f, 2, 24)
-        res = upper_bound(f, 2, 24, dps=60)
-        assert abs(res.value + math.cos(math.pi / 50)) <= 1e-12
+            upper_bound(f, 2, 29)
+        res = upper_bound(f, 2, 29, dps=60)
+        assert abs(res.value + math.cos(math.pi / 60)) <= 1e-12
         # the float Gram matrix is indefinite: no finite condition number
         assert res.condition_number == math.inf
         assert res.to_json_dict()["condition_number"] is None
@@ -741,7 +749,7 @@ def _solve_pencil_reference(num_terms, den_terms, basis, orbits=True):
 def _solve_block_hp_reference(Afrac, Bfrac, dps):
     """Reference extended-precision block solve: explicit loops for both
     substitutions, the symmetrization and the back-substitution, and the
-    eigenvalues sorted after mp.eigsy."""
+    eigenvalues sorted after mp.eigsy; the least one rounded up to a float."""
     import mpmath as mp
 
     m = len(Bfrac)
@@ -776,7 +784,11 @@ def _solve_block_hp_reference(Afrac, Bfrac, dps):
             for k in range(i + 1, m):
                 s -= L[k, i] * v[k]
             v[i] = s / L[i, i]
-        return (float(E[order[0]]), float(E[order[1]]) if m > 1 else None,
+        # the value rounded up, as the solver reports it
+        low = float(E[order[0]])
+        if low < E[order[0]]:
+            low = math.nextafter(low, math.inf)
+        return (low, float(E[order[1]]) if m > 1 else None,
                 np.array([float(v[i]) for i in range(m)]))
 
 
@@ -1148,8 +1160,8 @@ class TestLevelBounds:
         (parse_poly("x1", 2), 2, 1, 8),
         (parse_poly("x1*x2*x3 + x1*x2", 3), 3, 0, 3),
         (Polynomial.variable(5, 5), 5, 0, 2),
-        # past r = 20, where float64 raises ConditioningError on S^1
-        (parse_poly("x1", 2), 2, 18, 24),
+        # past r = 26: float64 raises ConditioningError on S^1 from r = 27
+        (parse_poly("x1", 2), 2, 29, 32),
     ])
     def test_dps_levels_equal_per_level_calls(self, f, n, lo, hi):
         got = level_bounds(f, n, lo, hi, dps=30)
@@ -1259,8 +1271,9 @@ class TestLevelBounds:
             assert all(s < PAUSE for s in seconds.values())
 
     def test_sweep_fails_at_the_top_level_without_per_level_solves(self, monkeypatch):
-        # the level-21 Gram matrix of S^2 does not factor in float64; levels
-        # 18..20 do, but are neither assembled nor solved on their own
+        # the level-26 Gram matrix of S^2 does not factor in float64 (from
+        # r = 24 none does); lower levels are neither assembled nor solved on
+        # their own
         def fail(*args, **kwargs):
             raise AssertionError("no level is solved on its own")
 
@@ -1269,9 +1282,9 @@ class TestLevelBounds:
         moment_matrix = bounds.moment_matrix
         monkeypatch.setattr(bounds, "moment_matrix",
                             lambda E1, *a, **k: calls.append(len(E1)) or moment_matrix(E1, *a, **k))
-        with pytest.raises(ConditioningError, match=r"level r=21: Cholesky"):
-            sweep(parse_poly("x3", 3), 3, 18, 21, certificates=False)
-        blocks, _ = bounds._parity_components(sphere_basis(3, 21).elements, [(0, 0, 1), (0, 0, 0)])
+        with pytest.raises(ConditioningError, match=r"level r=26: Cholesky"):
+            sweep(parse_poly("x3", 3), 3, 21, 26, certificates=False)
+        blocks, _ = bounds._parity_components(sphere_basis(3, 26).elements, [(0, 0, 1), (0, 0, 0)])
         assert len(calls) <= 2 * len(blocks)
         assert set(calls) <= {len(c) for c in blocks}
 

@@ -44,7 +44,9 @@ class TestBoundCommand:
         assert code == 0
 
     def test_high_precision_flag(self, capsys):
-        code = main(["bound", "--poly", "x1", "--n", "2", "--r", "24",
+        # two levels past r = 27, where the float Gram matrix of S^1 first
+        # fails to factor
+        code = main(["bound", "--poly", "x1", "--n", "2", "--r", "29",
                      "--dps", "60"])
         assert code == 0
 
@@ -52,7 +54,7 @@ class TestBoundCommand:
             raise ValueError(f"non-standard JSON constant {token}")
 
         payload = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert payload["value"] == pytest.approx(-math.cos(math.pi / 50),
+        assert payload["value"] == pytest.approx(-math.cos(math.pi / 60),
                                                  abs=1e-12)
         # the float Gram matrix is indefinite here, so the condition number
         # is infinite; it is written as null, not as the invalid Infinity
@@ -99,7 +101,9 @@ class TestBoundCommand:
         assert main(["bound", "--poly", "x3", "--n", "2", "--r", "1"]) == 2
 
     def test_conditioning_breakdown_is_numerical_failure(self, capsys):
-        assert main(["bound", "--poly", "x1", "--n", "2", "--r", "24"]) == 3
+        # two levels past r = 27, where the float Gram matrix of S^1 first
+        # fails to factor
+        assert main(["bound", "--poly", "x1", "--n", "2", "--r", "29"]) == 3
         assert "error:" in capsys.readouterr().err
 
     def test_missing_argument_exits_with_usage_error(self):

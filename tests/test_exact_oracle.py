@@ -3,15 +3,16 @@ the exact level-r value, by exact_oracle's inertia counts.
 
 Each case checks the float64 value and the dps=30 value against one set of exact
 blocks: random quartics (n = 2..5), Motzkin, x_n, and random cubics over
-q = 3 + x1.  That the value never falls below the exact level-r value is not
-asserted: the raw float value does on some of these cases.
+q = 3 + x1.  The dps=30 plain value, rounded up from its Rayleigh quotient, is
+also proven never to fall below the exact level-r value; the raw float value
+does on some of these cases, so that is not asserted for it.
 """
 
 import numpy as np
 import pytest
 
 from conftest import random_poly
-from exact_oracle import assert_brackets, pencil_blocks
+from exact_oracle import assert_brackets, assert_not_below, pencil_blocks
 from spherebound import Polynomial, motzkin_form, parse_poly, rational_upper_bound, upper_bound
 
 
@@ -41,7 +42,9 @@ def _rational_cases():
 def test_plain_values_bracket_the_exact_level_value(f, r):
     blocks = pencil_blocks(f, Polynomial.constant(f.n, 1), r)
     for dps in (None, 30):
-        assert_brackets(blocks, upper_bound(f, f.n, r, dps=dps).value)
+        value = upper_bound(f, f.n, r, dps=dps).value
+        assert_brackets(blocks, value)
+    assert_not_below(blocks, value)
 
 
 @pytest.mark.parametrize("p, q, r", list(_rational_cases()))
