@@ -46,23 +46,22 @@ def check_level(n, r, *polys):
     return n, r
 
 
-def sphere_basis(n, r):
-    """Basis of monomial representatives of degree <= r on S^{n-1}.
-
-    Elements come degree by degree, each degree in descending
-    lexicographic order.
-    """
-    n, r = check_level(n, r)
-    # tails[s]: the exponent tuples of length k and sum s with the last one
-    # at most 1, descending, for k = 2 (the first is s or s - 1) up to n;
-    # built bottom-up, since a recursive closure refers to itself and would
-    # leave its lists to the cycle collector
-    tails = [[(s, 0), (s - 1, 1)] if s else [(0, 0)] for s in range(r + 1)]
-    for _ in range(n - 2):
+def _exponent_tuples(n, r, cap=None):
+    """Exponent tuples of length n, sum at most r and the last at most cap (None: any),
+    degree by degree, each degree in descending lexicographic order."""
+    # tails[s]: the tuples of length k and sum s, k = 1 up to n, built bottom-up (a
+    # recursive closure would refer to itself, leaving its lists to the cycle collector)
+    tails = [[(s,)] if cap is None or s <= cap else [] for s in range(r + 1)]
+    for _ in range(n - 1):
         tails = [[(e,) + t for e in range(s, -1, -1) for t in tails[s - e]]
                  for s in range(r + 1)]
-    elems = tuple(a for d in range(r + 1) for a in tails[d])
-    return BasisSpec(n=n, r=r, elements=elems)
+    return tuple(a for d in range(r + 1) for a in tails[d])
+
+
+def sphere_basis(n, r):
+    """Basis of monomial representatives of degree <= r on S^{n-1}, in _exponent_tuples' order."""
+    n, r = check_level(n, r)
+    return BasisSpec(n=n, r=r, elements=_exponent_tuples(n, r, cap=1))
 
 
 def _parity_classes(P):
@@ -83,7 +82,7 @@ def moment_matrix(E1, E2, n, terms=None):
     terms maps exponent tuples g to coefficients c_g, which are added onto
     zeros in mapping order, and defaults to {0: 1.0}, the Gram matrix.
     n, E1, E2 and the keys of terms are checked first: a float, negative or
-    wrongly sized exponent raises ValueError.
+    wrongly sized exponent raises ValueError, as do exponents whose table entries are subnormal.
     M_g[i, j] is the normalized moment of x^P, P = E1[i] + E2[j] + g: zero
     if any P_k is odd, else prod_k odd2[P_k] / rise2[|P|], moment_fraction's
     formula on the scaled tables of moments._moment_tables.  The set-up is
@@ -132,9 +131,14 @@ def moment_matrix(E1, E2, n, terms=None):
         box *= radix[prefix]
         prefix += 1
     full = prefix == n
-    # every half-exponent sum is at most sum(radix) - n; a power of two
-    # keeps the number of cached table sizes small
+    # half-exponent sums are at most sum(radix) - n, all read from rise2 when the table is
+    # full, else those of even entries; a power of two keeps the cached table sizes few
     odd2, rise2 = _moment_tables(n, 1 << sum(radix).bit_length())[2:]
+    most = sum(radix) - n
+    if len(rise2) < 2 * most + 2 and not full:
+        most = min(most, (E1.sum(axis=1).max() + C.sum(axis=2).max()) // 2)
+    if len(odd2) < 2 * max(radix) or len(rise2) < 2 * most + 2:
+        raise ValueError(f"half-exponent sums up to {most} leave float64's normal range")
     # partial products over the prefix from an empty product of 1.0; each
     # coordinate is a slower digit of the code than the ones before it
     table = np.ones(1)

@@ -24,8 +24,10 @@ import collections
 import functools
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -275,10 +277,13 @@ def _smallest_hp(L, M, k, dps):
         # which is exact wherever M's structure is (a zero or diagonal M)
         value = mp.fdot(q, [mp.fdot(row, q) for row in M])
         vec = np.array([float(x) for x in _tri_solve(L, q, trans=True)])
-    up = float(value)
-    if up < value:
-        up = math.nextafter(up, math.inf)
-    return up, (float(w[1]) if k > 1 else None), vec
+    return _round_up(value), (float(w[1]) if k > 1 else None), vec
+
+
+def _round_up(x):
+    """The least float not below the exact Fraction or mpf x (inf or -max past float range)."""
+    up = float(x) if abs(x) <= sys.float_info.max else math.inf if x > 0 else -math.inf
+    return up if up >= x else math.nextafter(up, math.inf)
 
 
 def _tri_solve(L, b, trans=False):
@@ -402,7 +407,9 @@ def _solve_pencil(p, q, r_lo, r_hi, dps):
     written once more, without a vector, for each other block of that key;
     those copies never win.  Times run from the call: the top level carries
     the basis and the shared work (with the factorization), level r_hi - 1 the
-    dsygst, and each level its own norm, dpocon and solves.
+    dsygst, and each level its own norm, dpocon and solves.  For a constant
+    q = q0, a value below -sum |p_a| / q0, out of p/q0's reach as |x^a| <= 1
+    on the sphere, raises ConditioningError; a non-constant q gets no floor.
     """
     marks = [time.perf_counter()]
     n = p.n
@@ -415,10 +422,11 @@ def _solve_pencil(p, q, r_lo, r_hi, dps):
                                      _symmetry_classes(n, [p.terms, q.terms]))
     results, bnorms, rconds = ([[] for _ in levels] for _ in range(3))
     constant = p.is_constant() and q.is_constant()
+    a, b = p.constant_term(), q.constant_term()
+    least = (-_round_up(sum(Fraction(abs(c)) for c in p.terms.values()) / Fraction(b))
+             if q.is_constant() else -np.inf)
     if constant:  # (a B, b B): a/b rounded up, repeated if k > 1; B_11 = 1
-        from fractions import Fraction
-        a, b = p.constant_term(), q.constant_term()
-        c = a / b if a / b >= Fraction(a) / Fraction(b) else math.nextafter(a / b, math.inf)
+        c = _round_up(Fraction(a) / Fraction(b))
         results = [[(c, c if k > 1 else None, [b ** -0.5], [0])] for k in ends]
     spent = [0.0] * len(levels)
     orbit_sizes = collections.Counter(keys)
@@ -467,6 +475,9 @@ def _solve_pencil(p, q, r_lo, r_hi, dps):
     for i, r in enumerate(levels):
         size = int(ends[i])
         value, coeffs, gap = _pick_winner(results[i], size)
+        if value < least:
+            raise ConditioningError(f"bound {value!r} at level r={r} is below -sum |p_a| / q = "
+                                    f"{least!r}, outside p/q's range; retry with dps set")
         bmin = min(rcond * bnorm for bnorm, rcond in zip(bnorms[i], rconds[i]))
         cond = max(bnorms[i]) / bmin if bmin > 0 else np.inf
         res = BoundResult(n=n, r=r, value=value, coeffs=coeffs,
@@ -489,12 +500,12 @@ def _check_args(n, r, polys, dps):
 def upper_bound(f, n, r, dps=None):
     """Level-r upper bound for min f on S^{n-1}, with its optimal density.
 
-    Solves A_f v = lambda B v over sphere_basis(n, r) by Cholesky reduction
-    and a symmetric eigensolve; the bound is the smallest eigenvalue and is
-    nonincreasing in r.  Set dps to a decimal precision (an integer of at
-    least DPS_MIN) to solve in exact rational assembly plus high-precision
-    arithmetic instead of float64 (needed when the Gram condition number
-    approaches 1/eps).
+    Solves A_f v = lambda B v over sphere_basis(n, r) by Cholesky reduction and a
+    symmetric eigensolve; the bound is the smallest eigenvalue and is nonincreasing in r.
+    Set dps to a decimal precision (an integer of at least DPS_MIN) to solve in exact
+    rational assembly plus high-precision arithmetic instead of float64 (needed when the
+    Gram condition number approaches 1/eps).  A value below -sum |f_a|, which f never
+    reaches on the sphere, raises ConditioningError.
     """
     return level_bounds(f, n, r, r, dps)[0][0]
 
@@ -523,7 +534,8 @@ def rational_upper_bound(p, q, n, r, dps=None):
     random sample of the sphere and A_q must be positive definite at this
     level.  A q that dips below zero between the sample points can pass both
     checks.  A constant a over a constant b takes no solve and gives a/b
-    rounded up to the least float not below it.
+    rounded up to the least float not below it.  Only a constant q = q0 floors
+    the value, at -sum |p_a| / q0, as upper_bound does at -sum |f_a|.
     """
     n, r = _check_args(n, r, [p, q], dps)
     if not q:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .basis import check_level
+from .basis import _exponent_tuples, check_level
 from .moments import MomentOracle, surface_area
 from .orthopoly import QuadratureRule, gauss_rule
 from .polynomials import EVAL_BLOCK, Polynomial, as_index
@@ -122,24 +122,11 @@ def max_exactness_error(rule, oracle=None):
     oracle = oracle or MomentOracle(n)
     mass = rule.total_mass()
     worst = 0.0
-    for alpha in _monomials_up_to(n, rule.exactness_degree):
+    for alpha in _exponent_tuples(n, rule.exactness_degree):
         target = mass * oracle.moment(alpha)
         got = float(rule.weights @ Polynomial(n, {alpha: 1.0}).eval_many(rule.nodes))
-        err = abs(got - target) / (abs(target) if target != 0.0 else 1.0)
-        worst = max(worst, err)
+        worst = max(worst, abs(got - target) / (abs(target) if target != 0.0 else 1.0))
     return worst
-
-
-def _monomials_up_to(n, deg):
-    def rec(prefix, remaining, budget):
-        if remaining == 1:
-            for e in range(budget + 1):
-                yield prefix + (e,)
-            return
-        for e in range(budget + 1):
-            yield from rec(prefix + (e,), remaining - 1, budget - e)
-
-    yield from rec((), n, deg)
 
 
 def select_rule_degree(f_degree, r):
@@ -188,7 +175,7 @@ def cubature_lower_bound(f, n, r):
 
 
 def save_rule_csv(rule, fh):
-    """Write rule nodes and weights as CSV: x1,...,xn,weight."""
+    """Write rule nodes and weights as CSV, lossless: x1,...,xn,weight."""
     fh.write(",".join(f"x{i + 1}" for i in range(rule.dim)) + ",weight\n")
     for row in np.column_stack([rule.nodes, rule.weights]):
-        fh.write(",".join("%.17g" % v for v in row) + "\n")
+        fh.write(",".join(map(str, row)) + "\n")

@@ -118,13 +118,12 @@ def reproduce_table1(tol=TABLE1_TOLERANCE):
     return records, diffs, ok
 
 
-def save_sweep_csv(records, fh, fmt="%.12g"):
-    """Write sweep records as CSV: r,bound,lower_certificate,basis_size,runtime_ms."""
+def save_sweep_csv(records, fh):
+    """Write sweep records as CSV, lossless: r,bound,lower_certificate,basis_size,runtime_ms."""
     fh.write("r,bound,lower_certificate,basis_size,runtime_ms\n")
     for rec in records:
-        lower = "" if rec.lower_certificate is None else fmt % rec.lower_certificate
-        fh.write(f"{rec.r},{fmt % rec.bound},{lower},{rec.basis_size},"
-                 f"{fmt % rec.runtime_ms}\n")
+        lower = "" if rec.lower_certificate is None else rec.lower_certificate
+        fh.write(f"{rec.r},{rec.bound},{lower},{rec.basis_size},{rec.runtime_ms}\n")
 
 
 def load_sweep_csv(fh):
@@ -153,7 +152,7 @@ def load_sweep_csv(fh):
 
 
 def save_density_csv(grid, fh):
-    """Write a density grid as CSV: theta,phi,h (row-major, theta slowest)."""
+    """Write a density grid as CSV, lossless: theta,phi,h (row-major, theta slowest)."""
     fh.write("theta,phi,h\n")
     for row in np.asarray(grid):
-        fh.write(",".join("%.12g" % v for v in row) + "\n")
+        fh.write(",".join(map(str, row)) + "\n")

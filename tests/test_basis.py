@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,17 @@ class TestSphereBasis:
                           for e in (0, 1) if sum(a) + e <= r),
                          key=lambda a: (sum(a), tuple(-v for v in a)))
             assert sphere_basis(n, r).elements == tuple(ref)
+
+    def test_enumerator_matches_a_product_filter(self):
+        # degree by degree, each degree in descending lexicographic order,
+        # with or without a cap on the last exponent
+        for n in range(1, 6):
+            for r in range(7):
+                for cap in (None, 0, 1, 2):
+                    ref = tuple(a for d in range(r + 1)
+                                for a in itertools.product(range(d, -1, -1), repeat=n)
+                                if sum(a) == d and (cap is None or a[-1] <= cap))
+                    assert basis_module._exponent_tuples(n, r, cap) == ref
 
     def test_leaves_no_cyclic_garbage(self):
         # the basis must be freed by reference counting alone: cyclic
@@ -536,6 +548,20 @@ class TestLocalizedKernel:
         # any integer dtype is taken, with the same matrix
         assert np.array_equal(moment_matrix(E.astype(np.int32), E.astype(np.uint8), 3),
                               moment_matrix(E, E, 3))
+
+    def test_tables_below_the_normal_range_raise(self):
+        # at r = 1,021 on S^1 the scaled tables would be read below float64's
+        # normal range, where 2,043 entries would come out NaN
+        for r in (1020, 1021):
+            E = sphere_basis(2, r).exponent_array()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                if r == 1020:
+                    assert np.isfinite(moment_matrix(E[E.sum(1) >= r - 1], E, 2)).all()
+                else:
+                    with pytest.raises(ValueError, match="half-exponent sums up to 1022 leave "
+                                                         "float64's normal range"):
+                        moment_matrix(E[E.sum(1) >= r - 1], E, 2)
 
     def test_parity_beyond_64_coordinates(self, monkeypatch):
         # parity classes of 70 coordinates, with shifts that flip the last ones

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 import time
 import tracemalloc
 
@@ -338,6 +339,21 @@ class TestCircleClosedForm:
         assert res.condition_number == math.inf
         assert res.to_json_dict()["condition_number"] is None
 
+    def test_no_value_below_the_least_of_x1(self):
+        # x1 >= -1 on the circle: a float value below it (r = 26 reads -1.1724
+        # at condition 1e19) must raise, and dps gives -cos(pi/54) there
+        f = parse_poly("x1", 2)
+        for r in range(18, 31):
+            try:
+                assert upper_bound(f, 2, r).value >= -1.0
+            except ConditioningError as exc:
+                assert r >= 26 and str(exc).endswith("retry with dps set")
+        with pytest.raises(ConditioningError, match=r"level r=26 is below .* = -1\.0, "):
+            upper_bound(f, 2, 26)
+        res = upper_bound(f, 2, 26, dps=60)
+        assert res.value == -0.9983081582712682
+        assert abs(res.value + math.cos(math.pi / 54)) <= 1e-15
+
     def test_high_precision_agrees_with_float_at_low_level(self):
         f = parse_poly("x1", 2)
         a = upper_bound(f, 2, 6).value
@@ -513,6 +529,40 @@ class TestRational:
         expect[0] = b ** -0.5
         assert res.coeffs.tobytes() == expect.tobytes()
         assert res.degenerate == (len(res.basis) > 1)
+
+    def test_round_up_is_the_least_float_not_below(self):
+        # the one rule for the constant quotient and the dps Rayleigh quotient
+        with mpmath.workdps(40):
+            third = mpmath.mpf(1) / 3
+        cases = [(Fraction(3, 4), 0.75),
+                 (1 + Fraction(1, 2 ** 80), math.nextafter(1.0, math.inf)),
+                 (1 - Fraction(1, 2 ** 80), 1.0),
+                 (third, math.nextafter(1 / 3, math.inf))]
+        for x, up in cases:
+            assert bounds._round_up(x) == up
+            assert up >= x > math.nextafter(up, -math.inf)
+        # past the float range: inf above, the most negative float below
+        assert bounds._round_up(Fraction(2 ** 1100)) == math.inf
+        assert bounds._round_up(-Fraction(2 ** 1100)) == -sys.float_info.max
+
+    def test_constant_denominator_floors_the_value(self, monkeypatch):
+        # a block solve that returns -1.5 is below -sum |p_a| / q0 = -1 for
+        # x1 over 1 and -0.5 for (x1 + x2) over 4; a non-constant q has no floor
+        def low(r, a, b=None, **kwargs):
+            return -1.5, None, np.zeros(len(a))
+
+        monkeypatch.setattr(bounds, "_solve_block", low)
+        cases = [(lambda: upper_bound(parse_poly("x1", 2), 2, 3), "r=3", "-1.0"),
+                 (lambda: rational_upper_bound(parse_poly("x1 + x2", 3), Polynomial.constant(3, 4),
+                                               3, 2), "r=2", "-0.5")]
+        for call, level, least in cases:
+            with pytest.raises(ConditioningError) as info:
+                call()
+            message = str(info.value)
+            assert level in message and f"= {least}, " in message
+            assert message.endswith("retry with dps set")
+        q = parse_poly("2 + x1", 2)
+        assert rational_upper_bound(parse_poly("x1", 2), q, 2, 3).value == -1.5
 
     def test_unsettled_solve_is_not_a_denominator_failure(self):
         # q = 2 + x1 > 0 and A_q factors; only the dps iteration fails to settle

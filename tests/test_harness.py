@@ -4,11 +4,12 @@ import io
 import math
 import re
 
+import numpy as np
 import pytest
 
-from spherebound import (Polynomial, SweepRecord, cubature, fit_rate, load_sweep_csv,
-                         motzkin_form, parse_poly, reproduce_table1, save_sweep_csv,
-                         sweep)
+from spherebound import (Polynomial, SweepRecord, cubature, density_grid, extract_density,
+                         fit_rate, load_sweep_csv, motzkin_form, parse_poly, reproduce_table1,
+                         save_density_csv, save_sweep_csv, sweep, upper_bound)
 from spherebound.harness import TABLE1_REFERENCE
 
 
@@ -127,7 +128,7 @@ class TestCsv:
     def test_round_trip_is_bit_identical(self):
         records = self._records()
         buf = io.StringIO()
-        save_sweep_csv(records, buf, fmt="%.17g")
+        save_sweep_csv(records, buf)
         back = load_sweep_csv(io.StringIO(buf.getvalue()))
         assert len(back) == len(records)
         for a, b in zip(records, back):
@@ -135,6 +136,16 @@ class TestCsv:
             assert a.bound == b.bound
             assert a.lower_certificate == b.lower_certificate
             assert a.runtime_ms == b.runtime_ms
+
+    def test_density_round_trip_is_bit_identical(self):
+        res = upper_bound(motzkin_form(), 3, 3)
+        grid = density_grid(extract_density(res), 3, 20)
+        buf = io.StringIO()
+        save_density_csv(grid, buf)
+        header, *rows = buf.getvalue().splitlines()
+        assert header == "theta,phi,h"
+        back = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert back.tobytes() == grid.tobytes()
 
     def test_header_and_missing_certificates(self):
         records = sweep(motzkin_form(), 3, 0, 2, certificates=False)
